@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boxes import SpaceTimeBox
+from .boxes import Box, SpaceTimeBox
 from .config import ConfigError, RunConfig, load_config
-from .kernels import i_alpha, j_p
-from .noise import noise_of_box, save_jumps_csv, simulate_jumps
+from .kernels import eval_kernel, i_alpha, j_p
+from .noise import noise_of_box, save_jumps_csv, simulate_jumps, write_csv
 from .solver import picard_solve, picard_solve_drifted, solve_linear
 from .verify import SUITES, run_suite
 
@@ -39,8 +39,6 @@ def _prepare_out(cfg: RunConfig):
 
 def _split_domain(box):
     mid = (box.lows[0] + box.highs[0]) / 2.0
-    from .boxes import Box
-
     left = Box((box.lows[0],) + box.lows[1:], (mid,) + box.highs[1:])
     right = Box((mid,) + box.lows[1:], (box.highs[0],) + box.highs[1:])
     return left, right
@@ -71,11 +69,8 @@ def cmd_noise(cfg: RunConfig) -> int:
             )
         )
     save_jumps_csv(first, out / "jumps.csv", header_comment=_header(cfg))
-    with open(out / "noise_values.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_header(cfg)}\n")
-        fh.write("replicate,count,value_full,value_left,value_right\n")
-        for row in rows:
-            fh.write("%d,%d,%.17g,%.17g,%.17g\n" % row)
+    columns = ["replicate", "count", "value_full", "value_left", "value_right"]
+    write_csv(out / "noise_values.csv", columns, rows, [_header(cfg)])
     counts = np.array([r[1] for r in rows], dtype=float)
     values = np.array([r[2] for r in rows])
     print(f"replicates={replicates} mean_count={counts.mean():.6g} expected={noise_config.expected_jump_count:.6g}")
@@ -125,27 +120,21 @@ def cmd_kernels(cfg: RunConfig) -> int:
     alpha = cfg.noise.alpha
     p = cfg.solver.p
     times = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    from .kernels import eval_kernel
+    xs = np.linspace(-2.0, 2.0, 17) if spec.domain is None else np.linspace(
+        spec.domain.lows[0] + 1e-3, spec.domain.highs[0] - 1e-3, 17
+    )
+    y0 = 0.0 if spec.domain is None else (spec.domain.lows[0] + spec.domain.highs[0]) / 2.0
 
-    with open(out / "kernel_values.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_header(cfg)}\n")
-        fh.write("t,x,value\n")
-        xs = np.linspace(-2.0, 2.0, 17) if spec.domain is None else np.linspace(
-            spec.domain.lows[0] + 1e-3, spec.domain.highs[0] - 1e-3, 17
-        )
-        y0 = 0.0 if spec.domain is None else (spec.domain.lows[0] + spec.domain.highs[0]) / 2.0
-        for t in times:
-            for x in xs:
-                if spec.dim == 1:
-                    val = float(eval_kernel(spec, t, x, y0))
-                else:
-                    val = float(eval_kernel(spec, t, (x, 0.0), (y0, 0.0)))
-                fh.write("%.17g,%.17g,%.17g\n" % (t, x, val))
-    with open(out / "kernel_functionals.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_header(cfg)}\n")
-        fh.write("t,i_alpha,j_p\n")
-        for t in times:
-            fh.write("%.17g,%.17g,%.17g\n" % (t, i_alpha(spec, t, alpha), j_p(spec, t, p)))
+    def value(t, x):
+        if spec.dim == 1:
+            return float(eval_kernel(spec, t, x, y0))
+        return float(eval_kernel(spec, t, (x, 0.0), (y0, 0.0)))
+
+    comments = [_header(cfg)]
+    values = [(t, x, value(t, x)) for t in times for x in xs]
+    write_csv(out / "kernel_values.csv", ["t", "x", "value"], values, comments)
+    functionals = [(t, i_alpha(spec, t, alpha), j_p(spec, t, p)) for t in times]
+    write_csv(out / "kernel_functionals.csv", ["t", "i_alpha", "j_p"], functionals, comments)
     print(f"wrote {out / 'kernel_values.csv'} and {out / 'kernel_functionals.csv'}")
     return 0
 
@@ -185,6 +174,9 @@ def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
         print("\n".join(report.summary_lines()))
         all_passed &= report.passed
     return 0 if all_passed else SUITE_FAILURE
+
+
+COMMANDS = {"noise": cmd_noise, "linear": cmd_linear, "solve": cmd_solve, "kernels": cmd_kernels}
 
 
 def build_parser():
@@ -227,24 +219,12 @@ def main(argv=None) -> int:
             cfg.run.threads = args.threads
         if getattr(args, "negative_control", False):
             cfg.verify.negative_control = True
-        if args.command == "noise":
-            return cmd_noise(cfg)
-        if args.command == "linear":
-            return cmd_linear(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "kernels":
-            return cmd_kernels(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
-        parser.error(f"unknown command {args.command}")
-    except (ConfigError, OSError) as exc:
+        return COMMANDS[args.command](cfg)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, SpaceTimeBox
-from .noise import (
-    JumpSet,
-    NoiseConfig,
-    compensator_band,
-    noise_of_box,
-    truncated_noise_of_box,
-)
+from .noise import JumpSet, NoiseConfig, compensator_band, noise_of_box, write_csv
 
 __all__ = [
     "SimpleProcess",
@@ -157,11 +151,7 @@ def integrate_simple(
             clipped = cell.intersect(box)
             if clipped is None or val == 0.0:
                 continue
-            st_box = SpaceTimeBox(lo, hi, clipped)
-            if truncation is None:
-                total += val * noise_of_box(jumps, st_box, config)
-            else:
-                total += val * truncated_noise_of_box(jumps, st_box, truncation, config)
+            total += val * noise_of_box(jumps, SpaceTimeBox(lo, hi, clipped), config, level=truncation)
     return total
 
 
@@ -291,9 +281,4 @@ class IntegralPath:
         return float(np.abs(self.values).max())
 
     def save_csv(self, path, header_comment=None):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("t,value\n")
-            for t, v in zip(self.times, self.values):
-                fh.write("%.17g,%.17g\n" % (t, v))
+        write_csv(path, ["t", "value"], zip(self.times, self.values), [header_comment])

@@ -24,13 +24,11 @@ from .boxes import Box
 __all__ = [
     "KernelKind",
     "KernelSpec",
-    "KernelFunctionals",
     "eval_kernel",
     "subordinated_eval",
     "subordinator_density",
     "i_alpha",
     "j_p",
-    "kernel_functionals",
     "i_alpha_finite",
     "time_shift_modulus",
     "space_shift_modulus",
@@ -84,16 +82,6 @@ class KernelSpec:
             if dom.lows != (0.0,) or dom.highs != (1.0,):
                 raise ValueError("interval kernel is defined on (0, 1)")
             object.__setattr__(self, "domain", dom)
-
-    @property
-    def translation_invariant(self):
-        return self.kind is not KernelKind.HEAT_DIRICHLET_INTERVAL
-
-
-@dataclass(frozen=True)
-class KernelFunctionals:
-    i_alpha: float
-    j_p: float
 
 
 def _sqdist(x, y, dim):
@@ -358,8 +346,6 @@ def i_alpha(spec: KernelSpec, t, alpha):
     if not i_alpha_finite(spec, alpha):
         return math.inf
     kind = spec.kind
-    if kind is KernelKind.HEAT_DIRICHLET_INTERVAL:
-        return _bounded_domain_i_alpha(spec, t, alpha)
     if spec.domain is not None:
         return _bounded_domain_i_alpha(spec, t, alpha)
     if kind is KernelKind.HEAT_FREE:
@@ -410,7 +396,7 @@ def j_p(spec: KernelSpec, t, p):
     if not 0.0 < p <= 2.0:
         raise ValueError("p must lie in (0, 2]")
     kind = spec.kind
-    if kind is KernelKind.HEAT_DIRICHLET_INTERVAL or spec.domain is not None:
+    if spec.domain is not None:
         return _bounded_domain_j_p(spec, t, p)
     d = spec.dim
     if kind is KernelKind.HEAT_FREE:
@@ -428,10 +414,6 @@ def j_p(spec: KernelSpec, t, p):
             return (4.0 * math.pi * t) ** (-d * (p - 1.0) / 2.0) * p ** (-d / 2.0)
         return _fractional_spatial_lp(spec, t, p)
     raise ValueError(f"unknown kernel kind {kind}")
-
-
-def kernel_functionals(spec: KernelSpec, t, alpha, p) -> KernelFunctionals:
-    return KernelFunctionals(i_alpha(spec, t, alpha), j_p(spec, t, p))
 
 
 # ---------------------------------------------------------------------------

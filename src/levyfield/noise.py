@@ -24,19 +24,21 @@ __all__ = [
     "CompensatorBand",
     "compensator_band",
     "simulate_jumps",
-    "simulate_jumps_partitioned",
     "noise_of_box",
     "truncate",
-    "truncated_noise_of_box",
     "first_large_jump_time",
     "sample_noise_values",
     "sample_large_jump_flags",
     "sample_weighted_sums",
+    "write_csv",
     "save_jumps_csv",
     "load_jumps_csv",
 ]
 
 DEFAULT_COUNT_GUARD = 1e8
+# expected draws per farm chunk; chunk boundaries fix the random streams, so
+# this is a constant, not a setting
+MAX_CHUNK_DRAWS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,6 @@ class NoiseConfig:
 
     The expected jump count is horizon * |domain| * cutoff**(-alpha); requests
     above `count_guard` are rejected before any allocation happens.
-    `gaussian_small_jumps` is reserved for a diffusion correction of the
-    omitted sub-cutoff jumps and is currently unsupported.
     """
 
     measure: LevyMeasure
@@ -54,7 +54,6 @@ class NoiseConfig:
     domain: Box
     cutoff: float = 1e-3
     count_guard: float = DEFAULT_COUNT_GUARD
-    gaussian_small_jumps: bool = False
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -63,8 +62,6 @@ class NoiseConfig:
             raise ValueError("domain dimension must be 1 or 2")
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        if self.gaussian_small_jumps:
-            raise NotImplementedError("diffusion correction for small jumps is reserved")
         if not math.isfinite(self.expected_jump_count):
             raise ValueError("expected jump count must be finite")
 
@@ -107,9 +104,6 @@ class JumpSet:
     @property
     def dim(self):
         return self.locations.shape[1] if self.locations.ndim == 2 else 1
-
-    def window_box(self):
-        return SpaceTimeBox(0.0, self.horizon, self.domain)
 
 
 @dataclass(frozen=True)
@@ -174,63 +168,6 @@ def simulate_jumps(config: NoiseConfig, rng, seed_info="") -> JumpSet:
     return JumpSet(times[order], locs[order], sizes[order], config.horizon, config.domain, config.cutoff, seed_info)
 
 
-def simulate_jumps_partitioned(config: NoiseConfig, rng, n_space_cells=4, ring_ratio=2.0, seed_info="") -> JumpSet:
-    """Alternative generator: per-cell, per-modulus-ring exponential clocks.
-
-    Splits the domain into `n_space_cells` slabs along the first axis and the
-    modulus range into geometric rings (cutoff, ..., 1, inf); each (ring, cell)
-    pair runs an independent Poisson clock with rate |cell| * ring mass.
-    Equal in law to `simulate_jumps`; kept as a cross-check generator.
-    """
-    if config.horizon == 0:
-        return simulate_jumps(config, rng, seed_info)
-    a, p = config.measure.alpha, config.measure.p
-    lo, hi = config.domain.lows[0], config.domain.highs[0]
-    edges = np.linspace(lo, hi, n_space_cells + 1)
-    rings = [math.inf]
-    r = 1.0
-    while r > config.cutoff:
-        rings.append(r)
-        r /= ring_ratio
-    rings.append(config.cutoff)
-    rings = np.array(rings)[::-1]  # increasing, cutoff ... 1, inf
-    times, locs, sizes = [], [], []
-    for j in range(len(rings) - 1):
-        r_lo, r_hi = rings[j], rings[j + 1]
-        mass = r_lo ** (-a) - (0.0 if math.isinf(r_hi) else r_hi ** (-a))
-        for k in range(n_space_cells):
-            cell = Box(
-                (edges[k],) + config.domain.lows[1:],
-                (edges[k + 1],) + config.domain.highs[1:],
-            )
-            rate = cell.volume * mass
-            t = 0.0
-            arrivals = []
-            while True:
-                t += rng.exponential(1.0 / rate)
-                if t > config.horizon:
-                    break
-                arrivals.append(t)
-            m = len(arrivals)
-            if m == 0:
-                continue
-            times.append(np.array(arrivals))
-            locs.append(cell.sample(rng, m))
-            # modulus inverse-cdf restricted to the ring
-            v = rng.random(m)
-            hi_term = 0.0 if math.isinf(r_hi) else r_hi ** (-a)
-            mags = (r_lo ** (-a) - v * (r_lo ** (-a) - hi_term)) ** (-1.0 / a)
-            sizes.append(mags * _draw_signs(p, rng, m))
-    if not times:
-        d = config.domain.dim
-        return JumpSet(np.empty(0), np.empty((0, d)), np.empty(0), config.horizon, config.domain, config.cutoff, seed_info)
-    t_all = np.concatenate(times)
-    x_all = np.vstack(locs)
-    z_all = np.concatenate(sizes)
-    order = np.argsort(t_all, kind="stable")
-    return JumpSet(t_all[order], x_all[order], z_all[order], config.horizon, config.domain, config.cutoff, seed_info)
-
-
 def _require_inside_window(jumps: JumpSet, box: SpaceTimeBox):
     eps = 1e-12
     if box.t_start < -eps or box.t_end > jumps.horizon + eps:
@@ -239,17 +176,22 @@ def _require_inside_window(jumps: JumpSet, box: SpaceTimeBox):
         raise ValueError("box spatial range exceeds the simulated domain")
 
 
-def noise_of_box(jumps: JumpSet, box: SpaceTimeBox, config: NoiseConfig) -> float:
-    """Noise value of a space-time box under the simulated field.
+def noise_of_box(jumps: JumpSet, box: SpaceTimeBox, config: NoiseConfig, level=None) -> float:
+    """Noise value of a space-time box, with jumps above `level` removed.
 
     Plain jump sum for alpha < 1; for alpha > 1 the sum is compensated by
-    volume times the band integral over (cutoff, inf).
+    volume times the band integral over (cutoff, level], where the default
+    `level=None` keeps every jump and the band is (cutoff, inf).
     """
+    if level is not None and level <= jumps.cutoff:
+        raise ValueError("truncation level must exceed the simulation cutoff")
     _require_inside_window(jumps, box)
     mask = box.contains(jumps.times, jumps.locations)
+    if level is not None:
+        mask &= np.abs(jumps.sizes) <= level
     total = float(jumps.sizes[mask].sum())
     if config.measure.alpha > 1:
-        total -= box.volume * compensator_band(config.measure, jumps.cutoff, math.inf).value
+        total -= box.volume * compensator_band(config.measure, jumps.cutoff, level or math.inf).value
     return total
 
 
@@ -266,21 +208,6 @@ def truncate(jumps: JumpSet, level) -> JumpSet:
     )
 
 
-def truncated_noise_of_box(jumps: JumpSet, box: SpaceTimeBox, level, config: NoiseConfig) -> float:
-    """Noise value of a box with jumps above `level` removed.
-
-    For alpha > 1 the compensation band shrinks to (cutoff, level].
-    """
-    if level <= jumps.cutoff:
-        raise ValueError("truncation level must exceed the simulation cutoff")
-    _require_inside_window(jumps, box)
-    mask = box.contains(jumps.times, jumps.locations) & (np.abs(jumps.sizes) <= level)
-    total = float(jumps.sizes[mask].sum())
-    if config.measure.alpha > 1:
-        total -= box.volume * compensator_band(config.measure, jumps.cutoff, level).value
-    return total
-
-
 def first_large_jump_time(jumps: JumpSet, space: Box, level) -> float:
     """Earliest time a jump with modulus above `level` lands in `space`; inf if none."""
     if level <= jumps.cutoff:
@@ -294,19 +221,39 @@ def first_large_jump_time(jumps: JumpSet, space: Box, level) -> float:
 # ---------------------------------------------------------------------------
 # Replicate farms.  These sample scalar functionals of many independent jump
 # sets without materializing coordinates, in chunked flat arrays; they follow
-# exactly the same construction as `simulate_jumps`.  Positive and negative
-# jumps are drawn as two independent Poisson streams (thinning), which avoids
-# a per-jump sign stream.
+# exactly the same construction as `simulate_jumps`.  Box values draw positive
+# and negative jumps as two independent Poisson streams (thinning), which
+# avoids a per-jump sign stream.
 # ---------------------------------------------------------------------------
 
 
-def _chunk_sizes(n, lam, max_draws):
-    per = max(1, int(max_draws / max(lam, 1.0)))
-    out = []
+def _farm(n, lam, count_guard, chunk_fn, rng, workers=None, dtype=float):
+    """Assemble `n` replicates from chunks of at most MAX_CHUNK_DRAWS expected draws.
+
+    `chunk_fn(r, stream)` returns the values of `r` replicates.  With
+    `workers=None` every chunk draws from `rng` in chunk order on this
+    thread; with an integer, chunk i draws from the i-th child spawned from
+    `rng` and up to `workers` threads share the chunks, so results do not
+    depend on the worker count.
+    """
+    if lam > count_guard:
+        raise ValueError(f"expected jump count {lam:.3g} exceeds guard {count_guard:.3g}")
+    n = int(n)
+    per = max(1, int(MAX_CHUNK_DRAWS / max(lam, 1.0)))
+    sizes = [min(per, n - start) for start in range(0, n, per)]
+    streams = [rng] * len(sizes) if workers is None else rng.spawn(len(sizes))
+    if workers is not None and workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(chunk_fn, sizes, streams))
+    else:
+        results = map(chunk_fn, sizes, streams)
+    out = np.empty(n, dtype=dtype)
     start = 0
-    while start < n:
-        out.append(min(per, n - start))
-        start += per
+    for r, res in zip(sizes, results):
+        out[start : start + r] = res
+        start += r
     return out
 
 
@@ -342,7 +289,6 @@ def sample_noise_values(
     rng,
     truncation=None,
     count_guard=DEFAULT_COUNT_GUARD,
-    max_chunk_draws=20_000_000,
     workers=1,
 ):
     """Draw `n` independent box noise values for a region of given volume.
@@ -355,38 +301,20 @@ def sample_noise_values(
     """
     a = measure.alpha
     lam = volume * cutoff ** (-a)
-    if lam > count_guard:
-        raise ValueError(f"expected jump count {lam:.3g} exceeds guard {count_guard:.3g}")
     comp = 0.0
     if a > 1:
         upper = math.inf if truncation is None else truncation
         comp = volume * compensator_band(measure, cutoff, upper).value
-    chunks = _chunk_sizes(int(n), lam, max_chunk_draws)
-    child_rngs = rng.spawn(len(chunks))
 
-    def run_chunk(i):
-        r = chunks[i]
-        crng = child_rngs[i]
+    def run_chunk(r, crng):
         pos = _one_sided_sums(lam * measure.p, a, cutoff, truncation, r, crng)
         neg = _one_sided_sums(lam * measure.q, a, cutoff, truncation, r, crng)
         return pos - neg
 
-    out = np.empty(int(n))
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, range(len(chunks))))
-    else:
-        results = [run_chunk(i) for i in range(len(chunks))]
-    start = 0
-    for r, res in zip(chunks, results):
-        out[start : start + r] = res
-        start += r
-    return out - comp
+    return _farm(n, lam, count_guard, run_chunk, rng, workers=workers) - comp
 
 
-def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng, max_chunk_draws=20_000_000):
+def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):
     """Boolean draws: does some jump of modulus above `threshold` occur?
 
     One draw per replicate over a region of the given space-time volume,
@@ -396,28 +324,17 @@ def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng, max_chun
         raise ValueError("threshold must exceed the cutoff")
     a = measure.alpha
     lam = volume * cutoff ** (-a)
-    out = np.empty(int(n), dtype=bool)
-    start = 0
-    for r in _chunk_sizes(int(n), lam, max_chunk_draws):
+
+    def run_chunk(r, rng):
         counts = rng.poisson(lam, r)
-        total = int(counts.sum())
-        mags = _draw_magnitudes(a, cutoff, rng, total)
+        mags = _draw_magnitudes(a, cutoff, rng, int(counts.sum()))
         idx = np.repeat(np.arange(r), counts)
-        hits = np.bincount(idx, weights=(mags > threshold).astype(float), minlength=r)
-        out[start : start + r] = hits > 0
-        start += r
-    return out
+        return np.bincount(idx, weights=(mags > threshold).astype(float), minlength=r) > 0
+
+    return _farm(n, lam, DEFAULT_COUNT_GUARD, run_chunk, rng, dtype=bool)
 
 
-def sample_weighted_sums(
-    config: NoiseConfig,
-    weight,
-    n,
-    rng,
-    truncation=None,
-    weight_integral=None,
-    max_chunk_draws=20_000_000,
-):
+def sample_weighted_sums(config: NoiseConfig, weight, n, rng, truncation=None, weight_integral=None):
     """Draw `n` values of the jump sum weighted by a deterministic function.
 
     weight(times, locations) must be vectorized; locations have shape (m, d).
@@ -426,17 +343,14 @@ def sample_weighted_sums(
     """
     a = config.measure.alpha
     lam = config.expected_jump_count
-    if lam > config.count_guard:
-        raise ValueError("expected jump count exceeds guard")
     comp = 0.0
     if a > 1:
         if weight_integral is None:
             raise ValueError("weight_integral is required when alpha > 1")
         upper = math.inf if truncation is None else truncation
         comp = compensator_band(config.measure, config.cutoff, upper).value * weight_integral
-    out = np.empty(int(n))
-    start = 0
-    for r in _chunk_sizes(int(n), lam, max_chunk_draws):
+
+    def run_chunk(r, rng):
         counts = rng.poisson(lam, r)
         total = int(counts.sum())
         times = rng.uniform(0.0, config.horizon, total)
@@ -449,33 +363,40 @@ def sample_weighted_sums(
             z = np.where(keep, z, 0.0)
         vals = np.asarray(weight(times, locs), dtype=float) * z
         idx = np.repeat(np.arange(r), counts)
-        out[start : start + r] = np.bincount(idx, weights=vals, minlength=r)
-        start += r
-    return out - comp
+        return np.bincount(idx, weights=vals, minlength=r)
+
+    return _farm(n, lam, config.count_guard, run_chunk, rng) - comp
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header `t,x1[,x2],z`, 17 significant digits, bit-exact
-# round trip.  Comment lines carry provenance and window metadata.
+# CSV serialization: every value with 17 significant digits, which round-trips
+# doubles bit for bit (and writes integers below 1e17 as plain digits).
+# Comment lines carry provenance and window metadata.
 # ---------------------------------------------------------------------------
+
+
+def write_csv(path, columns, rows, comments=()):
+    """Write `# comment` lines (empty ones skipped), a `columns` header, then
+    `rows` as %.17g values."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for comment in filter(None, comments):
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def save_jumps_csv(jumps: JumpSet, path, header_comment=None):
+    """Header `t,x1[,x2],z` after an optional comment and a `# window` line."""
     d = jumps.dim
-    cols = ["t"] + [f"x{i + 1}" for i in range(d)] + ["z"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        lows = ",".join("%.17g" % v for v in jumps.domain.lows)
-        highs = ",".join("%.17g" % v for v in jumps.domain.highs)
-        fh.write(
-            "# window horizon=%.17g lows=%s highs=%s cutoff=%.17g seed_info=%s\n"
-            % (jumps.horizon, lows, highs, jumps.cutoff, jumps.seed_info or "-")
-        )
-        fh.write(",".join(cols) + "\n")
-        for i in range(jumps.n):
-            row = [jumps.times[i]] + list(np.atleast_1d(jumps.locations[i])) + [jumps.sizes[i]]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    lows = ",".join("%.17g" % v for v in jumps.domain.lows)
+    highs = ",".join("%.17g" % v for v in jumps.domain.highs)
+    window = "window horizon=%.17g lows=%s highs=%s cutoff=%.17g seed_info=%s" % (
+        jumps.horizon, lows, highs, jumps.cutoff, jumps.seed_info or "-"
+    )
+    columns = ["t"] + [f"x{i + 1}" for i in range(d)] + ["z"]
+    rows = np.column_stack([jumps.times, jumps.locations.reshape(jumps.n, d), jumps.sizes]).tolist()
+    write_csv(path, columns, rows, [header_comment, window])
 
 
 def load_jumps_csv(path) -> JumpSet:
@@ -495,14 +416,14 @@ def load_jumps_csv(path) -> JumpSet:
             if line.startswith("t,"):
                 continue
             rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows, dtype=float) if rows else np.empty((0, 3))
-    d = data.shape[1] - 2 if rows else len(meta.get("lows", "0").split(","))
     lows = tuple(float(v) for v in meta["lows"].split(","))
     highs = tuple(float(v) for v in meta["highs"].split(","))
+    d = len(lows)
+    data = np.array(rows, dtype=float).reshape(-1, d + 2)
     seed_info = meta.get("seed_info", "-")
     return JumpSet(
         times=data[:, 0].copy(),
-        locations=data[:, 1 : 1 + d].copy().reshape(-1, d),
+        locations=data[:, 1 : 1 + d].copy(),
         sizes=data[:, 1 + d].copy(),
         horizon=float(meta["horizon"]),
         domain=Box(lows, highs),

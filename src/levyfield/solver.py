@@ -17,9 +17,8 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .boxes import Box
-from .kernels import KernelKind, KernelSpec, eval_kernel, i_alpha_finite, j_p
-from .noise import JumpSet, NoiseConfig, compensator_band, first_large_jump_time, truncate
+from .kernels import KernelKind, KernelSpec, eval_kernel, i_alpha_finite
+from .noise import JumpSet, NoiseConfig, compensator_band, first_large_jump_time, truncate, write_csv
 
 __all__ = [
     "LipschitzSigma",
@@ -37,6 +36,9 @@ __all__ = [
     "picard_solve_drifted",
     "glue",
 ]
+
+# Gauss-Legendre nodes per time panel and per lattice cell in the drift operator
+DRIFT_NODES = 8
 
 
 class PicardDivergenceError(RuntimeError):
@@ -118,8 +120,6 @@ class SolverConfig:
     n_x: int = 16
     max_iterations: int = 25
     tolerance: float = 1e-8
-    drift_time_nodes: int = 8
-    drift_space_nodes: int = 8
 
     def __post_init__(self):
         a = self.noise.measure.alpha
@@ -136,16 +136,20 @@ class SolverConfig:
         self._check_jp_integrable()
 
     def _check_jp_integrable(self):
-        horizon = self.noise.horizon
-        if horizon == 0:
-            return
-        ts = horizon * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
-        vals = np.array([j_p(self.kernel, t, self.p) for t in ts])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sup-Lp kernel functional is not finite on the horizon")
-        # crude integrability probe: J_p(t) ~ t^-r near zero must have r < 1
-        slope = np.polyfit(np.log(ts[:3]), np.log(np.maximum(vals[:3], 1e-300)), 1)[0]
-        if slope <= -1.0:
+        # J_p(t) ~ t^-r near zero must have r < 1; r is known for each family
+        spec, p = self.kernel, self.p
+        d = spec.dim
+        if spec.kind is KernelKind.WAVE_1D:
+            ok = True
+        elif spec.kind is KernelKind.WAVE_2D:
+            ok = p < 2.0  # J_p is infinite from p = 2 on
+        elif spec.kind is KernelKind.FRACTIONAL_HEAT and spec.gamma < 1.0:
+            # the spatial tail |x|^-(d + 2 gamma) needs p (d + 2 gamma) > d
+            g = spec.gamma
+            ok = d * (p - 1.0) / (2.0 * g) < 1.0 and p * (d + 2.0 * g) > d
+        else:  # heat, Dirichlet, cable and the gamma = 1 fractional kernel
+            ok = d * (p - 1.0) / 2.0 < 1.0
+        if not ok:
             raise ValueError("sup-Lp kernel functional is not integrable near zero for this exponent")
 
 
@@ -186,21 +190,13 @@ class SolutionField:
     def max_grid_abs_diff(self, other: "SolutionField"):
         return float(np.abs(self.grid_values - other.grid_values).max())
 
-    def value_at_index(self, it, ix):
-        return float(self.grid_values[it, ix])
-
     def eval_vector(self):
         """Values ordered as the solver workspace orders evaluation points."""
         return np.concatenate([self.jump_values, self.grid_values.ravel()])
 
     def save_csv(self, path, header_comment=None):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("t,x,u\n")
-            for i, t in enumerate(self.t_grid):
-                for j, x in enumerate(self.x_grid):
-                    fh.write("%.17g,%.17g,%.17g\n" % (t, x, self.grid_values[i, j]))
+        rows = ((t, x, u) for t, row in zip(self.t_grid, self.grid_values) for x, u in zip(self.x_grid, row))
+        write_csv(path, ["t", "x", "u"], rows, [header_comment])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ class _PicardWorkspace:
         if spec.kind is KernelKind.WAVE_1D:
             return 0.5 * _hat_integrals(chi, x_e - tau, x_e + tau)
         lo, hi = chi[0], chi[-1]
-        nodes, weights = np.polynomial.legendre.leggauss(self.config.drift_space_nodes)
+        nodes, weights = np.polynomial.legendre.leggauss(DRIFT_NODES)
         out = np.zeros(chi.shape[0])
         for m in range(chi.shape[0] - 1):
             mid, half = (chi[m] + chi[m + 1]) / 2.0, (chi[m + 1] - chi[m]) / 2.0
@@ -317,7 +313,7 @@ class _PicardWorkspace:
             return self.Q
         n_lat = self.t_grid.shape[0] * self.x_grid.shape[0]
         Q = np.zeros((self.n_eval, n_lat))
-        nodes, weights = np.polynomial.legendre.leggauss(self.config.drift_time_nodes)
+        nodes, weights = np.polynomial.legendre.leggauss(DRIFT_NODES)
         nt = self.t_grid.shape[0]
         nx = self.x_grid.shape[0]
         for e in range(self.n_eval):

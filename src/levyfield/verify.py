@@ -102,7 +102,8 @@ class TestReport:
         payload = self.canonical_dict()
         if include_timing:
             payload["wall_time_s"] = self.wall_time
-        return json.dumps(payload, sort_keys=True, indent=1)
+        # statistics computed in numpy may arrive as numpy scalars (np.bool_)
+        return json.dumps(payload, sort_keys=True, indent=1, default=np.generic.item)
 
     def summary_lines(self):
         lines = [f"suite {self.suite} (seed={self.seed}, replicates={self.replicates})"]

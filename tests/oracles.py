@@ -14,6 +14,9 @@ import math
 import numpy as np
 from scipy import integrate as si
 
+from levyfield.boxes import Box
+from levyfield.noise import JumpSet, simulate_jumps
+
 
 def osc_quad_sin_power(alpha, n_half_periods=200, levels=14):
     """Integral of sin(x)/x**alpha over (0, inf): half-period quadrature plus
@@ -126,3 +129,60 @@ def ecf_points(samples, u_grid):
     """Plain empirical characteristic function (no chunking tricks)."""
     samples = np.asarray(samples, dtype=float)
     return np.array([np.exp(1j * u * samples).mean() for u in u_grid])
+
+
+def simulate_jumps_partitioned(config, rng, n_space_cells=4, ring_ratio=2.0, seed_info=""):
+    """Alternative generator: per-cell, per-modulus-ring exponential clocks.
+
+    Splits the domain into `n_space_cells` slabs along the first axis and the
+    modulus range into geometric rings (cutoff, ..., 1, inf); each (ring, cell)
+    pair runs an independent Poisson clock with rate |cell| * ring mass.
+    Equal in law to `simulate_jumps`; a cross-check generator.
+    """
+    if config.horizon == 0:
+        return simulate_jumps(config, rng, seed_info)
+    a, p = config.measure.alpha, config.measure.p
+    lo, hi = config.domain.lows[0], config.domain.highs[0]
+    edges = np.linspace(lo, hi, n_space_cells + 1)
+    rings = [math.inf]
+    r = 1.0
+    while r > config.cutoff:
+        rings.append(r)
+        r /= ring_ratio
+    rings.append(config.cutoff)
+    rings = np.array(rings)[::-1]  # increasing, cutoff ... 1, inf
+    times, locs, sizes = [], [], []
+    for j in range(len(rings) - 1):
+        r_lo, r_hi = rings[j], rings[j + 1]
+        mass = r_lo ** (-a) - (0.0 if math.isinf(r_hi) else r_hi ** (-a))
+        for k in range(n_space_cells):
+            cell = Box(
+                (edges[k],) + config.domain.lows[1:],
+                (edges[k + 1],) + config.domain.highs[1:],
+            )
+            rate = cell.volume * mass
+            t = 0.0
+            arrivals = []
+            while True:
+                t += rng.exponential(1.0 / rate)
+                if t > config.horizon:
+                    break
+                arrivals.append(t)
+            m = len(arrivals)
+            if m == 0:
+                continue
+            times.append(np.array(arrivals))
+            locs.append(cell.sample(rng, m))
+            # modulus inverse-cdf restricted to the ring
+            v = rng.random(m)
+            hi_term = 0.0 if math.isinf(r_hi) else r_hi ** (-a)
+            mags = (r_lo ** (-a) - v * (r_lo ** (-a) - hi_term)) ** (-1.0 / a)
+            sizes.append(mags * np.where(rng.random(m) < p, 1.0, -1.0))
+    if not times:
+        d = config.domain.dim
+        return JumpSet(np.empty(0), np.empty((0, d)), np.empty(0), config.horizon, config.domain, config.cutoff, seed_info)
+    t_all = np.concatenate(times)
+    x_all = np.vstack(locs)
+    z_all = np.concatenate(sizes)
+    order = np.argsort(t_all, kind="stable")
+    return JumpSet(t_all[order], x_all[order], z_all[order], config.horizon, config.domain, config.cutoff, seed_info)

@@ -156,6 +156,16 @@ class TestCommands:
         report = json.loads((out / "report_survival.json").read_text())
         assert report["passed"] is True
 
+    def test_verify_tail_writes_report(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[verify]\nreplicates = 2000\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "--out", str(out), "verify", "tail"])
+        capsys.readouterr()
+        report = json.loads((out / "report_tail.json").read_text())
+        assert code == (0 if report["passed"] else 1)
+        assert report["suite"] == "tail"
+
     def test_verify_negative_control_fails(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["--seed", "4", "--out", str(out), "verify", "survival", "--negative-control"])

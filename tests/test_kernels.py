@@ -14,7 +14,6 @@ from levyfield.kernels import (
     i_alpha,
     i_alpha_finite,
     j_p,
-    kernel_functionals,
     space_shift_modulus,
     subordinated_eval,
     subordinator_density,
@@ -242,9 +241,9 @@ class TestJp:
         assert j_p(WAVE2, 1.0, 2.0) == math.inf
 
     def test_functionals_bundle(self):
-        f = kernel_functionals(WAVE1, 2.0, 0.5, 0.75)
-        assert f.i_alpha == pytest.approx(i_alpha(WAVE1, 2.0, 0.5))
-        assert f.j_p == pytest.approx(j_p(WAVE1, 2.0, 0.75))
+        # the pair the `kernels` command tabulates: 2^-alpha t^2 and 2^(1-p) t
+        assert i_alpha(WAVE1, 2.0, 0.5) == pytest.approx(2.0**-0.5 * 4.0)
+        assert j_p(WAVE1, 2.0, 0.75) == pytest.approx(2.0**0.25 * 2.0)
 
 
 class TestShiftModuli:

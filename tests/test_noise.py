@@ -15,17 +15,17 @@ from levyfield.noise import (
     first_large_jump_time,
     load_jumps_csv,
     noise_of_box,
+    sample_large_jump_flags,
     sample_noise_values,
+    sample_weighted_sums,
     save_jumps_csv,
     simulate_jumps,
-    simulate_jumps_partitioned,
     truncate,
-    truncated_noise_of_box,
 )
 from levyfield.stable import LevyMeasure, StableParams, sigma_alpha_pow
 from levyfield.verify import ecf_sup_distance
 
-from oracles import band_quad
+from oracles import band_quad, simulate_jumps_partitioned
 
 UNIT = Box.interval(0.0, 1.0)
 
@@ -163,14 +163,23 @@ class TestTruncatedBoxValues:
     def test_symmetric_compensator_vanishes(self):
         jumps = make_jumps([], [], [], cutoff=0.01)
         config = unit_config(alpha=1.5, beta=0.0, cutoff=0.01)
-        assert truncated_noise_of_box(jumps, SpaceTimeBox(0.0, 1.0, UNIT), 2.0, config) == 0.0
+        assert noise_of_box(jumps, SpaceTimeBox(0.0, 1.0, UNIT), config, level=2.0) == 0.0
 
     def test_banded_compensator_value(self):
         jumps = make_jumps([], [], [], cutoff=0.01)
         config = unit_config(alpha=1.5, beta=1.0, cutoff=0.01)
-        got = truncated_noise_of_box(jumps, SpaceTimeBox(0.0, 1.0, UNIT), 2.0, config)
+        got = noise_of_box(jumps, SpaceTimeBox(0.0, 1.0, UNIT), config, level=2.0)
         assert got == pytest.approx(-27.8787, abs=1e-4)
         assert got == pytest.approx(-band_quad(config.measure, 0.01, 2.0), rel=1e-9)
+
+    def test_level_drops_only_larger_jumps(self):
+        jumps = make_jumps([0.1, 0.2, 0.3], [0.3, 0.6, 0.9], [0.5, 3.0, -7.0], cutoff=0.01)
+        config = unit_config(cutoff=0.01)
+        window = SpaceTimeBox(0.0, 1.0, UNIT)
+        assert noise_of_box(jumps, window, config, level=3.0) == 3.5
+        assert noise_of_box(jumps, window, config) == -3.5
+        with pytest.raises(ValueError):
+            noise_of_box(jumps, window, config, level=0.005)
 
 
 class TestCompensatorBand:
@@ -287,6 +296,20 @@ class TestDistributionalLaw:
         assert np.abs(ecf(homog, u) - ecf(parts, u)).max() < 0.05
 
 
+class TestFarmGuard:
+    def test_every_farm_rejects_oversized_requests(self):
+        # each request expects 1e9 jumps per replicate; nothing is drawn
+        measure = LevyMeasure.from_beta(1.5, 0.0)
+        rng = np.random.default_rng(18)
+        with pytest.raises(ValueError, match="guard"):
+            sample_noise_values(measure, 1.0, 1e-6, 10, rng)
+        with pytest.raises(ValueError, match="guard"):
+            sample_large_jump_flags(measure, 1.0, 1e-6, 1.0, 10, rng)
+        config = NoiseConfig(measure, 1.0, UNIT, cutoff=1e-6)
+        with pytest.raises(ValueError, match="guard"):
+            sample_weighted_sums(config, lambda t, x: t, 10, rng, weight_integral=0.5)
+
+
 class TestFittedTailConstant:
     def test_stable_across_volumes(self):
         # fitted tail constant sup_lambda lambda^alpha P(|Z_K(B)| > lambda) / |B|
@@ -337,3 +360,13 @@ class TestCsvRoundTrip:
         loaded = load_jumps_csv(path)
         assert loaded.n == 0
         assert loaded.domain == UNIT
+
+    def test_two_dim_empty_round_trip(self, tmp_path):
+        domain = Box((0.0, -1.0), (1.0, 1.0))
+        jumps = make_jumps([], [], [], domain=domain)
+        path = tmp_path / "empty2d.csv"
+        save_jumps_csv(jumps, path)
+        loaded = load_jumps_csv(path)
+        assert loaded.n == 0
+        assert loaded.locations.shape == (0, 2)
+        assert loaded.domain == domain

@@ -1,0 +1,124 @@
+"""Pinned sha256 digests of small seeded outputs.
+
+Any change to an output bit (a reordered sum, a re-drawn stream, a different
+number format) fails here, so a refactor that promises identical results has
+to keep them; a change that means to alter results updates the digests and
+says so.  The farms run twice: once at the fixed chunk budget, where these
+sizes fit in one chunk, and once with the budget cut so that each farm splits
+into several chunks.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from levyfield import noise
+from levyfield.boxes import Box
+from levyfield.cli import main
+from levyfield.integrate import IntegralPath
+from levyfield.noise import (
+    NoiseConfig,
+    sample_large_jump_flags,
+    sample_noise_values,
+    sample_weighted_sums,
+    simulate_jumps,
+)
+from levyfield.stable import LevyMeasure
+
+UNIT = Box.interval(0.0, 1.0)
+
+CLI_DIGESTS = {
+    ("noise", "jumps.csv"): "38d879b86e8de7bfd54972b5d5d4e6b28177e1fccda520c9b8cc4242a2859d50",
+    ("noise", "noise_values.csv"): "88b1855ba2ee6a9a8de7138dd3e75fd706b65e8306e98436384ed59bd418d372",
+    ("kernels", "kernel_values.csv"): "02fb70781f9e57a732b23f5d88b03c50592e358371bdf8e0e0210da4f0ecace0",
+    ("kernels", "kernel_functionals.csv"): "182e6e5c50073d23468696dd0aaa5a6f7f9bb392703fc8bb629142b4b33df696",
+    ("solve", "solution.csv"): "7af93992dd684d34d884b7cd27872950193dbb656fecf8993ca1c7d32047c65f",
+    ("solve", "diagnostics.json"): "d00241f9ff622d397e928af663c711651b2753902143ee17e8f04fda299e5325",
+    ("linear", "linear_solution.csv"): "c345a1ff6c5e967b6a31722a59caddd44301610224a94751ad3b7f7454160ad7",
+}
+
+FARM_DIGESTS = {
+    "noise": "a4240379ef7922e86c1c48a92cf488d378e4952aa5e58661c5e228126a6cc18d",
+    "weighted": "ae515857e3b598630ce89ee058cc2fd864f4f57981d14311b50d5e2bc1b47876",
+    "flags": "01f4c778cc1a6c0f27dac23dc8289f98830632ae101af05d35e5a9053aba22de",
+    "noise_chunked": "a3cae5fa452b3a33caf8f8147ce5c29511244d246fef362cd1a4d1c465c704fc",
+    "weighted_chunked": "cf5d8df979b8427c782ef550cfdf9f2deffc61842dbe7f7f8d4b5a0082c96fa2",
+    "flags_chunked": "236b232fb94678b33f7cfe5d9b11edf49949b02c5a5820277d2c7b6f65a12a55",
+}
+
+PATH_DIGEST = "0de4bc8e4abc54cba5dcf3159b092a564dc0f29f72cf12b933d8f4b21c37d1ac"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def cone_weight(times, locs):
+    return 0.5 * (np.abs(locs[:, 0]) < 2.0 - times)
+
+
+CONE_WINDOW = NoiseConfig(LevyMeasure.from_beta(0.5, 0.3), 2.0, Box.interval(-2.0, 2.0), cutoff=1e-2)
+
+
+@pytest.mark.parametrize("command", ["noise", "kernels", "solve", "linear"])
+def test_cli_files_on_default_config(tmp_path, command):
+    argv = ["--out", str(tmp_path), command]
+    if command == "noise":
+        argv = ["--replicates", "50"] + argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    for (cmd, name), digest in CLI_DIGESTS.items():
+        if cmd == command:
+            assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+class TestFarms:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_noise_values(self, workers):
+        dense = LevyMeasure.from_beta(1.5, 0.5)
+        values = sample_noise_values(dense, 1.0, 0.01, 3000, np.random.default_rng(7), workers=workers)
+        assert sha256(values.tobytes()) == FARM_DIGESTS["noise"]
+
+    def test_weighted_sums(self):
+        values = sample_weighted_sums(CONE_WINDOW, cone_weight, 2000, np.random.default_rng(8))
+        assert sha256(values.tobytes()) == FARM_DIGESTS["weighted"]
+
+    def test_large_jump_flags(self):
+        flags = sample_large_jump_flags(LevyMeasure.from_beta(0.7, 0.0), 1.0, 0.5, 2.0, 5000, np.random.default_rng(9))
+        assert sha256(flags.tobytes()) == FARM_DIGESTS["flags"]
+
+
+class TestChunkedFarms:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 20,000 draws per chunk: 5, 4 and 26 chunks for the farms below
+        monkeypatch.setattr(noise, "MAX_CHUNK_DRAWS", 20_000)
+
+    def test_noise_values_across_workers(self):
+        m = LevyMeasure.from_beta(1.5, 0.5)
+        w1 = sample_noise_values(m, 1.0, 0.05, 1000, np.random.default_rng(11), workers=1)
+        w2 = sample_noise_values(m, 1.0, 0.05, 1000, np.random.default_rng(11), workers=2)
+        assert np.array_equal(w1, w2)
+        assert sha256(w1.tobytes()) == FARM_DIGESTS["noise_chunked"]
+        assert sha256(w2.tobytes()) == FARM_DIGESTS["noise_chunked"]
+
+    def test_weighted_sums(self):
+        values = sample_weighted_sums(CONE_WINDOW, cone_weight, 1000, np.random.default_rng(12))
+        assert sha256(values.tobytes()) == FARM_DIGESTS["weighted_chunked"]
+
+    def test_large_jump_flags(self):
+        m = LevyMeasure.from_beta(0.7, 0.0)
+        flags = sample_large_jump_flags(m, 50.0, 0.1, 2.0, 2000, np.random.default_rng(13))
+        assert sha256(flags.tobytes()) == FARM_DIGESTS["flags_chunked"]
+
+
+def test_integral_path_csv(tmp_path):
+    config = NoiseConfig(LevyMeasure.from_beta(1.5, 0.5), 1.0, UNIT, cutoff=0.5)
+    jumps = simulate_jumps(config, np.random.default_rng(21))
+    path = IntegralPath.compute(lambda t, x: 1.0 + t * x, jumps, UNIT, config, 1.0, truncation=2.0, n_nodes=4)
+    out = tmp_path / "path.csv"
+    path.save_csv(out, header_comment="path")
+    assert sha256(out.read_bytes()) == PATH_DIGEST

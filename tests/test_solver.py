@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levyfield.boxes import Box
-from levyfield.kernels import KernelKind, KernelSpec, eval_kernel
+from levyfield.kernels import KernelKind, KernelSpec, eval_kernel, j_p
 from levyfield.noise import (
     JumpSet,
     NoiseConfig,
@@ -89,6 +89,58 @@ class TestSolverConfig:
     def test_truncation_above_cutoff(self):
         with pytest.raises(ValueError):
             solver_config(truncation=1e-4)
+
+
+class TestSupLpIntegrability:
+    """J_p(t) ~ t^-r near zero must have r < 1, with r known per family."""
+
+    @pytest.mark.parametrize(
+        "kernel,alpha,p",
+        [
+            (KernelSpec(KernelKind.HEAT_FREE, dim=2), 1.5, 2.0),  # r = d(p-1)/2 = 1
+            (KernelSpec(KernelKind.WAVE_2D, dim=2), 1.5, 2.0),  # J_p infinite
+            (KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.3), 1.5, 1.6),  # p = 1 + 2 gamma
+            (KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.3), 1.5, 1.9),
+            (KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.2), 0.5, 0.7),  # spatial tail: p(1+2g) < 1
+        ],
+    )
+    def test_rejected(self, kernel, alpha, p):
+        with pytest.raises(ValueError, match="integrable"):
+            solver_config(alpha=alpha, p=p, kernel=kernel)
+
+    @pytest.mark.parametrize(
+        "kernel,alpha,p",
+        [
+            (WAVE, 0.5, 0.75),
+            (WAVE, 1.5, 2.0),
+            (WAVE, 1.5, 1.9),
+            (DIRICHLET, 0.5, 0.75),
+            (DIRICHLET, 1.5, 1.9),
+            (KernelSpec(KernelKind.HEAT_FREE, dim=2), 1.5, 1.9),
+            (KernelSpec(KernelKind.WAVE_2D, dim=2), 1.5, 1.9),
+            (KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.3), 1.5, 1.55),
+            (KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=1.0), 1.5, 2.0),
+            (KernelSpec(KernelKind.CABLE), 1.5, 2.0),
+        ],
+    )
+    def test_accepted(self, kernel, alpha, p):
+        assert solver_config(alpha=alpha, p=p, kernel=kernel).p == p
+
+    @pytest.mark.parametrize(
+        "kernel,p,r",
+        [
+            (KernelSpec(KernelKind.HEAT_FREE), 1.5, 0.25),
+            (KernelSpec(KernelKind.HEAT_FREE, dim=2), 1.9, 0.9),
+            (KernelSpec(KernelKind.CABLE), 2.0, 0.5),
+            (DIRICHLET, 1.9, 0.45),
+            (KernelSpec(KernelKind.WAVE_1D), 1.9, -1.0),
+            (KernelSpec(KernelKind.WAVE_2D, dim=2), 1.5, -0.5),
+        ],
+    )
+    def test_exponent_matches_log_log_slope(self, kernel, p, r):
+        ts = np.array([1e-3, 1e-2])
+        slope = np.diff(np.log([j_p(kernel, t, p) for t in ts]))[0] / np.diff(np.log(ts))[0]
+        assert slope == pytest.approx(-r, abs=0.01)
 
 
 class TestLinear:

@@ -117,6 +117,16 @@ class TestReports:
             for e in payload["entries"]
         )
 
+    def test_tail_report_json_parses(self):
+        # the tail suite's verdicts are numpy booleans; the JSON must still
+        # write them as true/false while canonical_dict keeps them as they are
+        report = tail_bound_suite(alpha=0.5, seed=2, replicates=2_000)
+        assert any(isinstance(e.passed, np.bool_) for e in report.entries)
+        payload = json.loads(report.to_json())
+        assert all(isinstance(e["passed"], bool) for e in payload["entries"])
+        assert [e["passed"] for e in payload["entries"]] == [bool(e.passed) for e in report.entries]
+        assert isinstance(report.canonical_dict()["entries"][0]["passed"], np.bool_)
+
     def test_summary_lines_carry_verdict(self):
         report = survival_suite(alpha=0.5, seed=9, replicates=5_000)
         lines = report.summary_lines()
