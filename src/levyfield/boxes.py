@@ -7,6 +7,7 @@ partition their union exactly, which the additivity identities rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class Box:
         object.__setattr__(self, "highs", highs)
         if len(lows) != len(highs) or not lows:
             raise ValueError("box bounds must be nonempty and of equal length")
+        if not all(map(math.isfinite, lows + highs)):
+            raise ValueError("box bounds must be finite")
         if any(h <= l for l, h in zip(lows, highs)):
             raise ValueError("box must have positive extent on every axis")
 
@@ -42,12 +45,12 @@ class Box:
         return float(np.prod([h - l for l, h in zip(self.lows, self.highs)]))
 
     def contains(self, points):
-        """Boolean mask for points of shape (n, dim) (or (n,) when dim == 1)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == self.dim and pts.shape[1] != self.dim and pts.ndim == 2 and pts.shape[0] == 1:
-            pts = pts.T
-        if pts.shape[-1] != self.dim:
+        """Boolean mask for points of shape (n, dim), one point (dim,), or (n,) when dim == 1."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim < 2 and (self.dim == 1 or pts.shape == (self.dim,)):
             pts = pts.reshape(-1, self.dim)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points of shape {pts.shape} do not fit a {self.dim}-dimensional box")
         lo = np.array(self.lows)
         hi = np.array(self.highs)
         return np.all((pts >= lo) & (pts < hi), axis=-1)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box, SpaceTimeBox
+from .kernels import _gl_on
 from .noise import JumpSet, NoiseConfig, compensator_band, noise_of_box, write_csv
 
 __all__ = [
@@ -119,7 +120,7 @@ class SimpleProcess:
             return 0.0
         i = int(np.searchsorted(self.knots, t, side="left")) - 1
         for box, val in self.cells[i]:
-            if bool(box.contains(np.atleast_2d(x))[0]):
+            if bool(box.contains(x)[0]):
                 return float(val)
         return 0.0
 
@@ -163,18 +164,13 @@ def field_quadrature(field, jumps, t, box: Box, n_nodes=32, time_breaks=None, po
     over the spatial box.  `power=None` integrates the signed field itself.
     """
     field = _as_field(field)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     breaks = {0.0, float(t)}
     breaks.update(float(s) for s in jumps.times if 0.0 < s < t)
     if time_breaks is not None:
         breaks.update(float(s) for s in time_breaks if 0.0 < s < t)
     edges = sorted(breaks)
     dim = box.dim
-    axes = []
-    for d in range(dim):
-        mid = (box.lows[d] + box.highs[d]) / 2.0
-        half = (box.highs[d] - box.lows[d]) / 2.0
-        axes.append((mid + half * nodes, half * weights))
+    axes = [_gl_on(lo, hi, n_nodes) for lo, hi in zip(box.lows, box.highs)]
 
     def term(s, x):
         v = field.evaluate(s, x, jumps)
@@ -182,8 +178,7 @@ def field_quadrature(field, jumps, t, box: Box, n_nodes=32, time_breaks=None, po
 
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for s, ws in zip(mid + half * nodes, half * weights):
+        for s, ws in zip(*_gl_on(a, b, n_nodes)):
             if dim == 1:
                 for y, wy in zip(*axes[0]):
                     total += ws * wy * term(s, y)

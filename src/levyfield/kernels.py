@@ -77,6 +77,8 @@ class KernelSpec:
                 raise ValueError("fractional kernel needs gamma in (0, 1]")
         elif self.gamma is not None:
             raise ValueError("gamma applies only to the fractional kernel")
+        if self.domain is not None and self.domain.dim != self.dim:
+            raise ValueError("kernel domain dimension must match the kernel dimension")
         if self.kind is KernelKind.HEAT_DIRICHLET_INTERVAL:
             dom = self.domain or Box.interval(0.0, 1.0)
             if dom.lows != (0.0,) or dom.highs != (1.0,):
@@ -260,8 +262,7 @@ def _subordinated_from_sq(gamma, t, sq, dim):
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _gl_on(a, b, n):
@@ -320,17 +321,13 @@ def _bounded_domain_i_alpha(spec, t, alpha, n_x=64, n_y=48, n_s=12):
     xs = np.linspace(lo + 1e-6, hi - 1e-6, n_x)
     edges = t * (0.5 ** np.arange(n_s, -1, -1))
     edges[0] = 0.0
-    best = 0.0
-    for x in xs:
-        acc = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            s_nodes, s_w = _gl_on(a, b, 16)
-            for s, w in zip(s_nodes, s_w):
-                y_nodes, y_w = _gl_on(lo, hi, n_y)
-                vals = eval_kernel(spec, s, x, y_nodes) ** alpha
-                acc += w * float((vals * y_w).sum())
-        best = max(best, acc)
-    return best
+    y_nodes, y_w = _gl_on(lo, hi, n_y)
+    acc = np.zeros(n_x)
+    for a, b in zip(edges[:-1], edges[1:]):
+        for s, w in zip(*_gl_on(a, b, 16)):
+            vals = eval_kernel(spec, s, xs[:, None], y_nodes) ** alpha
+            acc += w * (vals * y_w).sum(axis=1)
+    return float(acc.max())
 
 
 def i_alpha(spec: KernelSpec, t, alpha):
@@ -375,11 +372,8 @@ def _bounded_domain_j_p(spec, t, p, n_x=64, n_y=64):
     lo, hi = dom.lows[0], dom.highs[0]
     xs = np.linspace(lo + 1e-6, hi - 1e-6, n_x)
     y_nodes, y_w = _gl_on(lo, hi, n_y)
-    best = 0.0
-    for x in xs:
-        vals = eval_kernel(spec, t, x, y_nodes) ** p
-        best = max(best, float((vals * y_w).sum()))
-    return best
+    vals = eval_kernel(spec, t, xs[:, None], y_nodes) ** p
+    return float((vals * y_w).sum(axis=1).max())
 
 
 def j_p(spec: KernelSpec, t, p):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .kernels import KernelKind, KernelSpec, eval_kernel, i_alpha_finite
+from .kernels import KernelKind, KernelSpec, _gl_on, eval_kernel, i_alpha_finite
 from .noise import JumpSet, NoiseConfig, compensator_band, first_large_jump_time, truncate, write_csv
 
 __all__ = [
@@ -122,6 +122,8 @@ class SolverConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        if self.kernel.dim != self.noise.domain.dim:
+            raise ValueError("kernel dimension must match the noise domain dimension")
         a = self.noise.measure.alpha
         if a < 1:
             if not a < self.p < 1:
@@ -212,6 +214,7 @@ def _hat_integrals(chi, a, b):
     b = min(b, chi[-1])
     if b <= a:
         return out
+    # scalar on purpose: `** 2` on an np.float64 calls libm pow, on an array it is x*x (other bytes)
     for m in range(n - 1):
         lo, hi = chi[m], chi[m + 1]
         c, d = max(a, lo), min(b, hi)
@@ -276,23 +279,19 @@ class _PicardWorkspace:
             A[rows, cols] = vals * self.jump_z[cols]
         return A
 
-    def _spatial_rule(self, tau, x_e):
-        """Weights over the spatial lattice for int_O G(tau, x_e, y) hat_m(y) dy."""
-        spec = self.config.kernel
+    def _spatial_rule(self, tau, x_e, cells):
+        """Weights over the spatial lattice for int_O G(tau, x_e, y) hat_m(y) dy.
+
+        `cells`: nodes, weights and hat fractions per lattice cell; None for the wave kernel.
+        """
         chi = self.x_grid
-        if spec.kind is KernelKind.WAVE_1D:
+        if cells is None:
             return 0.5 * _hat_integrals(chi, x_e - tau, x_e + tau)
-        lo, hi = chi[0], chi[-1]
-        nodes, weights = np.polynomial.legendre.leggauss(DRIFT_NODES)
+        ys, ws, frac = cells
+        g = eval_kernel(self.config.kernel, tau, x_e, ys) * ws
         out = np.zeros(chi.shape[0])
-        for m in range(chi.shape[0] - 1):
-            mid, half = (chi[m] + chi[m + 1]) / 2.0, (chi[m + 1] - chi[m]) / 2.0
-            ys = mid + half * nodes
-            ws = half * weights
-            g = eval_kernel(spec, tau, x_e, ys)
-            frac = (ys - chi[m]) / (chi[m + 1] - chi[m])
-            out[m] += float((g * ws * (1.0 - frac)).sum())
-            out[m + 1] += float((g * ws * frac).sum())
+        out[:-1] += (g * (1.0 - frac)).sum(axis=1)
+        out[1:] += (g * frac).sum(axis=1)
         return out
 
     def _time_breaks(self, t_e, x_e):
@@ -313,9 +312,13 @@ class _PicardWorkspace:
             return self.Q
         n_lat = self.t_grid.shape[0] * self.x_grid.shape[0]
         Q = np.zeros((self.n_eval, n_lat))
-        nodes, weights = np.polynomial.legendre.leggauss(DRIFT_NODES)
         nt = self.t_grid.shape[0]
         nx = self.x_grid.shape[0]
+        cells = None
+        if self.config.kernel.kind is not KernelKind.WAVE_1D:
+            lo, hi = self.x_grid[:-1, None], self.x_grid[1:, None]
+            ys, wy = _gl_on(lo, hi, DRIFT_NODES)
+            cells = ys, wy, (ys - lo) / (hi - lo)
         for e in range(self.n_eval):
             t_e = float(self.eval_t[e])
             x_e = float(self.eval_x[e])
@@ -324,12 +327,11 @@ class _PicardWorkspace:
             row = np.zeros((nt, nx))
             edges = self._time_breaks(t_e, x_e)
             for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = (a + b) / 2.0, (b - a) / 2.0
-                for s, ws in zip(mid + half * nodes, half * weights):
+                for s, ws in zip(*_gl_on(a, b, DRIFT_NODES)):
                     tau = t_e - s
                     if tau <= 0:
                         continue
-                    sp = self._spatial_rule(tau, x_e)
+                    sp = self._spatial_rule(tau, x_e, cells)
                     k = min(int(np.searchsorted(self.t_grid, s, side="right")) - 1, nt - 2)
                     k = max(k, 0)
                     frac = (s - self.t_grid[k]) / (self.t_grid[k + 1] - self.t_grid[k])

@@ -42,10 +42,12 @@ class StableParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if abs(self.beta) > 1:
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
+        if not abs(self.beta) <= 1:
             raise ValueError("beta must lie in [-1, 1]")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
 
     def scaled(self, c):
         """Parameters of c*X for c > 0."""
@@ -67,12 +69,12 @@ class LevyMeasure:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.p < 0 or self.q < 0 or abs(self.p + self.q - 1.0) > 1e-12:
+        if not (self.p >= 0 and self.q >= 0 and abs(self.p + self.q - 1.0) <= 1e-12):
             raise ValueError("p and q must be nonnegative with p + q = 1")
 
     @classmethod
     def from_beta(cls, alpha, beta):
-        if abs(beta) > 1:
+        if not abs(beta) <= 1:
             raise ValueError("beta must lie in [-1, 1]")
         return cls(alpha, (1.0 + beta) / 2.0, (1.0 - beta) / 2.0)
 

@@ -48,6 +48,15 @@ class TestSimpleProcessValidation:
             SimpleProcess(np.array([0.0, 0.5, 1.0]), [[(UNIT, 1.0)]])
 
 
+def test_value_at_takes_one_point():
+    line = SimpleProcess(np.array([0.0, 1.0]), [[(Box.interval(0.0, 0.5), 2.0)]])
+    assert line.value_at(0.5, 0.25) == 2.0
+    assert line.value_at(0.5, np.float64(0.75)) == 0.0
+    plane = SimpleProcess(np.array([0.0, 1.0]), [[(Box((0.0, 0.0), (1.0, 0.5)), 3.0)]])
+    assert plane.value_at(0.5, (0.5, 0.25)) == 3.0
+    assert plane.value_at(0.5, np.array([0.5, 0.75])) == 0.0
+
+
 class TestIntegrateSimple:
     def test_unit_process_reduces_to_box_noise(self):
         config = unit_config(alpha=0.7, cutoff=0.02)

@@ -47,6 +47,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec(KernelKind.CABLE, dim=2)
 
+    def test_domain_dimension_matches_kernel(self):
+        with pytest.raises(ValueError, match="dimension"):
+            KernelSpec(KernelKind.WAVE_1D, domain=Box((0.0, 0.0), (1.0, 1.0)))
+        with pytest.raises(ValueError, match="dimension"):
+            KernelSpec(KernelKind.HEAT_FREE, dim=2, domain=Box.interval(0.0, 1.0))
+
     def test_gamma_constraints(self):
         with pytest.raises(ValueError):
             KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=1.5)

@@ -5,10 +5,14 @@ number format) fails here, so a refactor that promises identical results has
 to keep them; a change that means to alter results updates the digests and
 says so.  The farms run twice: once at the fixed chunk budget, where these
 sizes fit in one chunk, and once with the budget cut so that each farm splits
-into several chunks.
+into several chunks.  The kernel, drift-operator, solver and quadrature cases
+pin the layers the default CLI config never reaches: the Dirichlet kernel,
+the bounded-domain functionals and the alpha > 1 drift.
 """
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import io
 
@@ -18,14 +22,18 @@ import pytest
 from levyfield import noise
 from levyfield.boxes import Box
 from levyfield.cli import main
-from levyfield.integrate import IntegralPath
+from levyfield.integrate import IntegralPath, PredictableField, field_quadrature, integrate_field
+from levyfield.kernels import KernelKind, KernelSpec, i_alpha, j_p, space_shift_modulus, time_shift_modulus
 from levyfield.noise import (
     NoiseConfig,
+    first_large_jump_time,
     sample_large_jump_flags,
     sample_noise_values,
     sample_weighted_sums,
     simulate_jumps,
+    truncate,
 )
+from levyfield.solver import SolverConfig, _PicardWorkspace, picard_solve, picard_solve_drifted, sigma_affine
 from levyfield.stable import LevyMeasure
 
 UNIT = Box.interval(0.0, 1.0)
@@ -122,3 +130,89 @@ def test_integral_path_csv(tmp_path):
     out = tmp_path / "path.csv"
     path.save_csv(out, header_comment="path")
     assert sha256(out.read_bytes()) == PATH_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Kernels, drift operator, compensated solves and quadratures
+# ---------------------------------------------------------------------------
+
+DIRICHLET = KernelSpec(KernelKind.HEAT_DIRICHLET_INTERVAL)
+WAVE_UNIT = KernelSpec(KernelKind.WAVE_1D, domain=UNIT)
+
+LAYER_DIGESTS = {
+    "Q.dirichlet": "4acd9a3dcff0b6ab2cb76fd0396827025fea102e3ff25d8a0a97d2712a0bee80",
+    "Q.wave": "364f448a9cbdfed56be6e1b1e373eed37cea9d5ef2299f3740f891b3dd429456",
+    # on a quiet realization the full and drifted solves agree to the bit
+    "full": "7fc16687d9cab9669bcdba8baac1a57d741dcf49d8059002617f1cbfe0731f91",
+    "drifted": "7fc16687d9cab9669bcdba8baac1a57d741dcf49d8059002617f1cbfe0731f91",
+    "functionals.dirichlet": "2b7521fc66541c8e03a9af19e66b051a6bba3fb1829d45ff8e81326aac02ce8b",
+    "functionals.wave": "65c7ec3d1ae3a2db5650d90bbb80c91e2109546fdd3536c1c0d030e54c24af06",
+    "moduli": "6b79fc7aa60e8aff0b3690ad3f9c39cf5d294a7bc2d4cebe4ca878c518b2c77d",
+    "integrals": "1922df144f83a83c6ce8b16603fc936ad2578dba2ed5707a0583780099b55b9d",
+    "quadrature_2d": "465888710868a8038e9f87a923f013cb8bd2358ac05b0c1b8ac261af2d5c0604",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def quiet_case(label):
+    """Config and a quiet alpha = 1.5 realization (no jump above 1 in the window)."""
+    kernel, cutoff, n, seed = {"dirichlet": (DIRICHLET, 0.1, 5, 31), "wave": (WAVE_UNIT, 0.02, 9, 32)}[label]
+    noise = NoiseConfig(LevyMeasure.from_beta(1.5, 1.0), 1.0, UNIT, cutoff=cutoff)
+    config = SolverConfig(kernel=kernel, noise=noise, truncation=1.0, p=1.9, n_t=n, n_x=n)
+    rng = np.random.default_rng(seed)
+    while True:
+        jumps = simulate_jumps(noise, rng)
+        if first_large_jump_time(jumps, UNIT, 1.0) > 1.0:
+            return config, jumps
+
+
+def floats(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("label", ["dirichlet", "wave"])
+def test_drift_operator(label):
+    config, jumps = quiet_case(label)
+    Q = _PicardWorkspace(config, truncate(jumps, 1.0)).build_drift_operator()
+    assert sha256(Q.tobytes()) == LAYER_DIGESTS[f"Q.{label}"]
+
+
+def test_full_and_drifted_solves():
+    config, jumps = quiet_case("dirichlet")
+    sigma = sigma_affine(0.2, 1.0)
+    full = picard_solve(dataclasses.replace(config, truncation=None), sigma, jumps)
+    drifted = picard_solve_drifted(config, sigma, jumps)
+    assert sha256(full.eval_vector().tobytes()) == LAYER_DIGESTS["full"]
+    assert sha256(drifted.eval_vector().tobytes()) == LAYER_DIGESTS["drifted"]
+
+
+@pytest.mark.parametrize("label, spec", [("dirichlet", DIRICHLET), ("wave", WAVE_UNIT)])
+def test_bounded_domain_functionals(label, spec):
+    values = [i_alpha(spec, 1.0, a) for a in (0.5, 1.2)] + [j_p(spec, t, p) for t in (0.25, 1.0, 2.0) for p in (0.75, 1.5)]
+    assert sha256(floats(*values)) == LAYER_DIGESTS[f"functionals.{label}"]
+
+
+def test_shift_moduli():
+    values = [fn(DIRICHLET, 1.0, 0.75, h, 0.4) for fn in (time_shift_modulus, space_shift_modulus) for h in (0.1, 0.05)]
+    values.append(time_shift_modulus(WAVE_UNIT, 1.0, 0.75, 0.05, 0.6))
+    assert sha256(floats(*values)) == LAYER_DIGESTS["moduli"]
+
+
+def test_compensated_integrals():
+    config, jumps = quiet_case("wave")
+    fields = (
+        PredictableField(lambda s, y, hist: (1.0 + s) * (1.0 + y), "polynomial"),
+        PredictableField(lambda s, y, hist: 1.0 + hist.sum_sizes(), "history"),
+    )
+    values = [integrate_field(f, jumps, 1.0, UNIT, config.noise, n_nodes=8) for f in fields]
+    assert sha256(floats(*values)) == LAYER_DIGESTS["integrals"]
+
+
+def test_field_quadrature_two_dim():
+    square = Box((0.0, -1.0), (1.0, 1.0))
+    noise = NoiseConfig(LevyMeasure.from_beta(1.5, 0.0), 1.0, square, cutoff=0.5)
+    jumps = simulate_jumps(noise, np.random.default_rng(33))
+    field = PredictableField(lambda s, x, hist: (1.0 + s * x[0]) * (2.0 - x[1]) + hist.sum_sizes(), "plane")
+    values = [field_quadrature(field, jumps, 1.0, square, n_nodes=4, time_breaks=[0.3], power=p) for p in (None, 1.5)]
+    assert jumps.n > 0
+    assert sha256(floats(*values)) == LAYER_DIGESTS["quadrature_2d"]

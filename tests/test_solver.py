@@ -39,16 +39,18 @@ WAVE = KernelSpec(KernelKind.WAVE_1D, domain=UNIT)
 DIRICHLET = KernelSpec(KernelKind.HEAT_DIRICHLET_INTERVAL)
 
 
-def noise_config(alpha=0.5, beta=0.0, cutoff=1e-3, horizon=1.0):
-    return NoiseConfig(LevyMeasure.from_beta(alpha, beta), horizon, UNIT, cutoff=cutoff)
+SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+
+
+def noise_config(alpha=0.5, beta=0.0, cutoff=1e-3, horizon=1.0, domain=UNIT):
+    return NoiseConfig(LevyMeasure.from_beta(alpha, beta), horizon, domain, cutoff=cutoff)
 
 
 def solver_config(alpha=0.5, beta=0.0, cutoff=1e-3, truncation=1.0, p=0.75, kernel=WAVE, **kw):
     kw.setdefault("n_t", 17)
     kw.setdefault("n_x", 17)
-    return SolverConfig(
-        kernel=kernel, noise=noise_config(alpha, beta, cutoff), truncation=truncation, p=p, **kw
-    )
+    noise = noise_config(alpha, beta, cutoff, domain=UNIT if kernel.dim == 1 else SQUARE)
+    return SolverConfig(kernel=kernel, noise=noise, truncation=truncation, p=p, **kw)
 
 
 def empty_jumps(cutoff=1e-3, horizon=1.0):
@@ -89,6 +91,15 @@ class TestSolverConfig:
     def test_truncation_above_cutoff(self):
         with pytest.raises(ValueError):
             solver_config(truncation=1e-4)
+
+    @pytest.mark.parametrize(
+        "kernel,domain",
+        [(KernelSpec(KernelKind.WAVE_2D, dim=2), UNIT), (KernelSpec(KernelKind.HEAT_FREE, dim=2), UNIT), (WAVE, SQUARE)],
+    )
+    def test_kernel_dimension_must_match_domain(self, kernel, domain):
+        noise = noise_config(0.5, domain=domain)
+        with pytest.raises(ValueError, match="dimension"):
+            SolverConfig(kernel=kernel, noise=noise, truncation=1.0, p=0.75)
 
 
 class TestSupLpIntegrability:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfield.boxes import Box
 from levyfield.stable import (
     LevyMeasure,
     StableConstants,
@@ -49,6 +50,29 @@ class TestParams:
         m = LevyMeasure.from_beta(0.5, 0.4)
         assert m.p == pytest.approx(0.7)
         assert m.beta == pytest.approx(0.4)
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = {
+    "box-high-nan": lambda: Box((0.0,), (NAN,)),
+    "box-high-inf": lambda: Box((0.0,), (INF,)),
+    "box-low-inf": lambda: Box((-INF, 0.0), (1.0, 1.0)),
+    "params-sigma-nan": lambda: StableParams(0.5, sigma=NAN),
+    "params-sigma-inf": lambda: StableParams(0.5, sigma=INF),
+    "params-beta-nan": lambda: StableParams(0.5, beta=NAN),
+    "params-mu-nan": lambda: StableParams(0.5, mu=NAN),
+    "params-mu-inf": lambda: StableParams(0.5, mu=-INF),
+    "params-alpha-nan": lambda: StableParams(NAN),
+    "measure-weights-nan": lambda: LevyMeasure(0.5, NAN, NAN),
+    "measure-beta-nan": lambda: LevyMeasure.from_beta(0.5, NAN),
+    "measure-alpha-nan": lambda: LevyMeasure.from_beta(NAN, 0.0),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestTailMass:
