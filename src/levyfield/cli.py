@@ -2,7 +2,7 @@
 
 Every output file starts with a comment line carrying the package version
 and the seed.  Exit codes: 0 success, 1 statistical-suite failure, 2 usage
-or configuration error.
+or configuration error, 3 internal error (a failed computation).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
 SUITE_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 def _header(cfg: RunConfig):
@@ -222,9 +223,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         return COMMANDS[args.command](cfg)
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # a failed computation: one line, no traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ heat, cable, and the wave kernels in d = 1, 2.  `i_alpha` is the space-time
 integral of G**alpha up to time t (infinite exactly when the exponent
 condition for the kind fails); `j_p` is the spatial Lp mass sup over source
 points.
+
+The fractional entry points (`eval_kernel`, `subordinated_eval`,
+`subordinator_density`, and `i_alpha`/`j_p`) memoize, for one call only,
+the subordinator density at each exact s of its integral branch
+(0 < s < 10, gamma != 1/2) and that integral's angular factor at each theta.
 """
 
 from __future__ import annotations
@@ -136,11 +141,17 @@ def subordinator_density(gamma, s):
     representation over (0, pi) (well conditioned there), for s >= 10 the
     convergent series in powers of s**(-gamma).  Accuracy degrades as gamma
     approaches 1, where the integrand concentrates into a spike; the orders
-    exercised here stay at or below 0.9.
+    exercised here stay at or below 0.9.  The angular factor of the integral
+    is memoized for this call only.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    s = float(s)
+    return _density(gamma, float(s), ({}, {}))
+
+
+def _density(gamma, s, memo):
+    # memo = (density by exact s, angular factor by exact theta), owned by
+    # one top-level call; only the integral branch is stored
     if s <= 0.0:
         return 0.0
     if gamma == 0.5:
@@ -156,6 +167,9 @@ def subordinator_density(gamma, s):
             if envelope < 1e-18 * max(abs(total), 1e-300) and k > 3:
                 break
         return total / math.pi
+    values, angular = memo
+    if s in values:
+        return values[s]
     ratio = g / (1.0 - g)
 
     def a_fn(theta):
@@ -168,12 +182,15 @@ def subordinator_density(gamma, s):
     x_pow = s ** (-ratio)
 
     def integrand(theta):
-        a = a_fn(theta)
+        a = angular.get(theta)
+        if a is None:
+            a = angular[theta] = a_fn(theta)
         return a * np.exp(-x_pow * a)
 
     breaks = [math.pi * f for f in (0.5, 0.9, 0.99)]
     val, _ = _si.quad(integrand, 0.0, math.pi, limit=400, points=breaks)
-    return ratio / math.pi * s ** (-1.0 / (1.0 - g)) * val
+    values[s] = ratio / math.pi * s ** (-1.0 / (1.0 - g)) * val
+    return values[s]
 
 
 def subordinated_eval(gamma, t, x, y, dim=1):
@@ -188,7 +205,7 @@ def subordinated_eval(gamma, t, x, y, dim=1):
         raise ValueError("gamma must lie in (0, 1) for subordination")
     if t <= 0:
         raise ValueError("t must be positive")
-    return _subordinated_from_sq(gamma, float(t), float(_sqdist(x, y, dim)), dim)
+    return _subordinated_from_sq(gamma, float(t), float(_sqdist(x, y, dim)), dim, ({}, {}))
 
 
 def eval_kernel(spec: KernelSpec, t, x, y):
@@ -224,18 +241,19 @@ def eval_kernel(spec: KernelSpec, t, x, y):
         flat_t = np.broadcast_arrays(t_arr, _sqdist(x, y, spec.dim))
         out = np.empty(flat_t[0].shape)
         it = np.nditer(flat_t[0], flags=["multi_index"])
+        memo = ({}, {})
         for _ in it:
             idx = it.multi_index
-            out[idx] = _subordinated_from_sq(spec.gamma, float(flat_t[0][idx]), float(flat_t[1][idx]), spec.dim)
+            out[idx] = _subordinated_from_sq(spec.gamma, float(flat_t[0][idx]), float(flat_t[1][idx]), spec.dim, memo)
         return out if out.ndim else float(out)
     raise ValueError(f"unknown kernel kind {kind}")
 
 
-def _subordinated_from_sq(gamma, t, sq, dim):
+def _subordinated_from_sq(gamma, t, sq, dim, memo):
     t_resc = t ** (1.0 / gamma)
 
     def integrand(s):
-        return _gauss(t_resc * s, sq, dim, 2.0) * subordinator_density(gamma, s)
+        return _gauss(t_resc * s, sq, dim, 2.0) * _density(gamma, s, memo)
 
     # the heat factor peaks near s = sq / (2 dim t_resc); below the density's
     # integral/series switch at s = 10 integrate directly with breakpoints,
@@ -304,9 +322,10 @@ def _fractional_spatial_lp(spec, t, p):
     # honest quadrature over space of the subordinated kernel to the p
     g = spec.gamma
     body = t ** (1.0 / (2.0 * g))  # spatial scale of the kernel at time t
+    memo = ({}, {})
 
     def f(x):
-        return subordinated_eval(g, t, x, 0.0) ** p
+        return _subordinated_from_sq(g, float(t), float(_sqdist(x, 0.0, 1)), 1, memo) ** p
 
     inner, _ = _si.quad(f, 0.0, 10.0 * body, limit=200)
     outer, _ = _si.quad(f, 10.0 * body, np.inf, limit=200)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from levyfield import cli
 from levyfield.cli import main
 from levyfield.config import ConfigError, RunConfig, parse_config
 
@@ -182,3 +183,20 @@ class TestCommands:
         code = main(["--config", str(tmp_path / "absent.cfg"), "noise"])
         capsys.readouterr()
         assert code == 2
+
+    def test_bad_config_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[noise]\nalpha = 1.0\n", encoding="utf-8")
+        code = main(["--config", str(cfg_file), "--out", str(tmp_path / "o"), "noise"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_computation_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def failing(cfg):
+            raise ValueError("quadrature went wrong")
+
+        monkeypatch.setitem(cli.COMMANDS, "kernels", failing)
+        code = main(["--out", str(tmp_path / "o"), "kernels"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == ["error: internal: ValueError: quadrature went wrong"]

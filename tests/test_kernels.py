@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as si
 
+from levyfield import kernels
 from levyfield.boxes import Box
 from levyfield.kernels import (
     KernelKind,
@@ -170,6 +171,39 @@ class TestSubordination:
             vals = np.array([j_p(FRAC_HALF, t, p) for t in ts])
             slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
             assert slope == pytest.approx(-(p - 1.0), abs=0.05)
+
+
+class TestDensityMemo:
+    """The subordinator-density memo lives for one call and is order-free."""
+
+    @pytest.fixture
+    def quad_calls(self, monkeypatch):
+        calls = []
+        original = kernels._si.quad
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels._si, "quad", counting)
+        return calls
+
+    def test_no_state_outlives_a_call(self, quad_calls):
+        spec = KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.7)
+        first = j_p(spec, 1.0, 2.0)
+        n_first = len(quad_calls)
+        second = j_p(spec, 1.0, 2.0)
+        assert len(quad_calls) == 2 * n_first
+        assert first == second
+        # without the memo this call makes about 17,900 quad calls
+        assert n_first < 17_832
+
+    def test_array_equals_reversed_scalar_calls(self):
+        rng = np.random.default_rng(36)
+        t, x, y = rng.uniform(0.25, 2.0, 4), rng.uniform(-2.0, 2.0, 4), rng.uniform(-0.5, 0.5, 4)
+        batch = eval_kernel(KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.7), t, x, y)
+        scalar = [subordinated_eval(0.7, t[i], x[i], y[i]) for i in range(3, -1, -1)][::-1]
+        assert batch.tobytes() == np.array(scalar).tobytes()
 
 
 class TestIAlpha:

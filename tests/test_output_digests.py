@@ -7,7 +7,8 @@ says so.  The farms run twice: once at the fixed chunk budget, where these
 sizes fit in one chunk, and once with the budget cut so that each farm splits
 into several chunks.  The kernel, drift-operator, solver and quadrature cases
 pin the layers the default CLI config never reaches: the Dirichlet kernel,
-the bounded-domain functionals and the alpha > 1 drift.
+the bounded-domain functionals, the subordinated fractional kernel, glue
+and the alpha > 1 drift.
 """
 
 import contextlib
@@ -23,7 +24,17 @@ from levyfield import noise
 from levyfield.boxes import Box
 from levyfield.cli import main
 from levyfield.integrate import IntegralPath, PredictableField, field_quadrature, integrate_field
-from levyfield.kernels import KernelKind, KernelSpec, i_alpha, j_p, space_shift_modulus, time_shift_modulus
+from levyfield.kernels import (
+    KernelKind,
+    KernelSpec,
+    eval_kernel,
+    i_alpha,
+    j_p,
+    space_shift_modulus,
+    subordinated_eval,
+    subordinator_density,
+    time_shift_modulus,
+)
 from levyfield.noise import (
     NoiseConfig,
     first_large_jump_time,
@@ -33,7 +44,7 @@ from levyfield.noise import (
     simulate_jumps,
     truncate,
 )
-from levyfield.solver import SolverConfig, _PicardWorkspace, picard_solve, picard_solve_drifted, sigma_affine
+from levyfield.solver import SolverConfig, _PicardWorkspace, glue, picard_solve, picard_solve_drifted, sigma_affine
 from levyfield.stable import LevyMeasure
 
 UNIT = Box.interval(0.0, 1.0)
@@ -150,6 +161,13 @@ LAYER_DIGESTS = {
     "moduli": "6b79fc7aa60e8aff0b3690ad3f9c39cf5d294a7bc2d4cebe4ca878c518b2c77d",
     "integrals": "1922df144f83a83c6ce8b16603fc936ad2578dba2ed5707a0583780099b55b9d",
     "quadrature_2d": "465888710868a8038e9f87a923f013cb8bd2358ac05b0c1b8ac261af2d5c0604",
+    "density.0.3": "6d7e8e92a1b20074d122a725a3d779b48d133d1ee3e11ff1ec165eaa8f2ed4e7",
+    "density.0.7": "1c52eed4205f218d1209cce7856b22fe15a81972e60c4620b353dd8431ac698d",
+    "subordinated": "8c129a097dc00f2c5882809de3e52655e96d97e7f286674810e52325156b690c",
+    "eval.0.7": "815f2cc5cbc76246584ab0f330f056d345fc3d14249645ea5ebfa45b8ce1a259",
+    "eval.0.5": "bffd5d3297f49bd79489f1adbbbdf6c4f1edf7f4a6d5d3b55f918263b31e7e18",
+    "functionals.fractional": "0ace7f112a23417056dfef75fd0c9a98b7e72c8ffd02750e1e2d7cd03e26f499",
+    "glue": "f3a1f33ead3babee6cc40a0c25aae9bacb8472489e97b2fc7fd8520dfb647112",
 }
 
 
@@ -216,3 +234,44 @@ def test_field_quadrature_two_dim():
     values = [field_quadrature(field, jumps, 1.0, square, n_nodes=4, time_breaks=[0.3], power=p) for p in (None, 1.5)]
     assert jumps.n > 0
     assert sha256(floats(*values)) == LAYER_DIGESTS["quadrature_2d"]
+
+
+# s <= 0, the integral branch (0 < s < 10) and the series (s >= 10)
+DENSITY_S = (-1.0, 0.0, 0.01, 0.3, 1.0, 5.0, 9.99, 10.0, 50.0)
+
+
+def fractional(gamma):
+    return KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.7])
+def test_subordinator_density(gamma):
+    values = [subordinator_density(gamma, s) for s in DENSITY_S]
+    assert sha256(floats(*values)) == LAYER_DIGESTS[f"density.{gamma}"]
+
+
+def test_subordinated_eval():
+    assert sha256(floats(subordinated_eval(0.7, 0.5, 0.3, 0.1))) == LAYER_DIGESTS["subordinated"]
+
+
+@pytest.mark.parametrize("gamma, n", [(0.7, 4), (0.5, 16)])
+def test_fractional_eval_kernel(gamma, n):
+    rng = np.random.default_rng(34)
+    t, x, y = rng.uniform(0.25, 2.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(-0.5, 0.5, n)
+    values = eval_kernel(fractional(gamma), t, x, y)
+    assert sha256(values.tobytes()) == LAYER_DIGESTS[f"eval.{gamma}"]
+
+
+def test_fractional_functionals():
+    values = [j_p(fractional(0.7), 1.0, 2.0), i_alpha(fractional(0.5), 1.0, 0.8)]
+    assert sha256(floats(*values)) == LAYER_DIGESTS["functionals.fractional"]
+
+
+def test_glue_dirichlet():
+    noise_config = NoiseConfig(LevyMeasure.from_beta(0.5, 0.0), 1.0, UNIT, cutoff=1e-3)
+    config = SolverConfig(kernel=DIRICHLET, noise=noise_config, truncation=1.0, p=0.75, n_t=9, n_x=9)
+    jumps = simulate_jumps(noise_config, np.random.default_rng(35))
+    result = glue(config, sigma_affine(1.0, 1.0), jumps, [1.0, 4.0])
+    assert result.resolved
+    payload = floats(result.k_used) + result.field.eval_vector().tobytes()
+    assert sha256(payload) == LAYER_DIGESTS["glue"]
