@@ -19,7 +19,7 @@ from .config import ConfigError, RunConfig, load_config
 from .kernels import eval_kernel, i_alpha, j_p
 from .noise import noise_of_box, save_jumps_csv, simulate_jumps, write_csv
 from .solver import picard_solve, picard_solve_drifted, solve_linear
-from .verify import SUITES, run_suite
+from .verify import NEGATIVE_CONTROLS, SUITES, run_suite
 
 USAGE_ERROR = 2
 SUITE_FAILURE = 1
@@ -83,11 +83,9 @@ def cmd_noise(cfg: RunConfig) -> int:
 def cmd_linear(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     rng = np.random.default_rng(cfg.run.seed)
-    noise_config = cfg.noise_config()
-    kernel = cfg.kernel_spec()
     solver_cfg = cfg.solver_config()
-    jumps = simulate_jumps(noise_config, rng, seed_info=str(cfg.run.seed))
-    sol = solve_linear(kernel, jumps, solver_cfg)
+    jumps = simulate_jumps(solver_cfg.noise, rng, seed_info=str(cfg.run.seed))
+    sol = solve_linear(solver_cfg.kernel, jumps, solver_cfg)
     sol.save_csv(out / "linear_solution.csv", header_comment=_header(cfg))
     print(f"jumps={jumps.n} grid={sol.grid_values.shape} wrote {out / 'linear_solution.csv'}")
     return 0
@@ -98,11 +96,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.run.seed)
     solver_cfg = cfg.solver_config()
     sigma = cfg.sigma()
-    jumps = simulate_jumps(cfg.noise_config(), rng, seed_info=str(cfg.run.seed))
-    if cfg.noise.alpha > 1:
-        sol = picard_solve_drifted(solver_cfg, sigma, jumps)
-    else:
-        sol = picard_solve(solver_cfg, sigma, jumps)
+    jumps = simulate_jumps(solver_cfg.noise, rng, seed_info=str(cfg.run.seed))
+    sol = (picard_solve_drifted if cfg.noise.alpha > 1 else picard_solve)(solver_cfg, sigma, jumps)
     sol.save_csv(out / "solution.csv", header_comment=_header(cfg))
     diag_path = out / "diagnostics.json"
     diag_path.write_text(sol.diagnostics.to_json(k_used=sol.k_used, meta=_header(cfg)), encoding="utf-8")
@@ -158,14 +153,7 @@ def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
         if cfg.verify.replicates > 0:
             kwargs["replicates"] = cfg.verify.replicates
         if cfg.verify.negative_control:
-            control = {
-                "ecf": {"alpha_perturbation": 0.3},
-                "survival": {"alpha_perturbation": 0.3},
-                "tail": {"alpha_perturbation": 0.3},
-                "moment": {"slope_offset": 0.3},
-                "local": {"corrupt": True},
-            }
-            kwargs.update(control[name])
+            kwargs.update(NEGATIVE_CONTROLS[name])
         if name == "moment":
             kwargs.setdefault("p", cfg.solver.p)
             kwargs.setdefault("volume", 0.01)
@@ -210,14 +198,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.run.seed = args.seed
-        if args.out is not None:
-            cfg.run.out = args.out
-        if args.replicates is not None:
-            cfg.run.replicates = args.replicates
-        if args.threads is not None:
-            cfg.run.threads = args.threads
+        for key in ("seed", "out", "replicates", "threads"):
+            if getattr(args, key) is not None:
+                setattr(cfg.run, key, getattr(args, key))
         if getattr(args, "negative_control", False):
             cfg.verify.negative_control = True
         if args.command == "verify":

@@ -42,10 +42,6 @@ class JumpHistory:
         self._jumps = jumps
         self._now = now
 
-    @property
-    def now(self):
-        return self._now
-
     def before(self, t=None):
         """Times, locations and sizes of jumps strictly before t (default: now)."""
         t = self._now if t is None else t
@@ -208,7 +204,7 @@ def integrate_field(
     field = _as_field(field)
     mask = (jumps.times <= t) & box.contains(jumps.locations)
     if truncation is not None:
-        if truncation <= jumps.cutoff:
+        if not truncation > jumps.cutoff:
             raise ValueError("truncation level must exceed the simulation cutoff")
         mask &= np.abs(jumps.sizes) <= truncation
     total = 0.0
@@ -223,26 +219,12 @@ def integrate_field(
     return total
 
 
-def lp_norm(field, p, horizon, box: Box, replicates=1, jumps_source=None, rng=None, n_nodes=32):
-    """Monte-Carlo + quadrature estimate of (E int |X|^p)^(1/p) on (0,T] x box.
-
-    Deterministic fields need one replicate and no jump source; random fields
-    are averaged over jump sets drawn from `jumps_source(rng)`.
-    """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+def lp_norm(field, p, horizon, box: Box, n_nodes=32):
+    """Quadrature value of (int |X|^p)^(1/p) on (0,T] x box for a deterministic field."""
     if not 0.0 < p <= 2.0:
         raise ValueError("p must lie in (0, 2]")
-    acc = 0.0
-    for _ in range(replicates):
-        if jumps_source is not None:
-            jumps = jumps_source(rng)
-        else:
-            jumps = JumpSet(
-                np.empty(0), np.empty((0, box.dim)), np.empty(0), float(horizon), box, 1.0
-            )
-        acc += field_quadrature(field, jumps, horizon, box, n_nodes=n_nodes, power=p)
-    return (acc / replicates) ** (1.0 / p)
+    jumps = JumpSet(np.empty(0), np.empty((0, box.dim)), np.empty(0), float(horizon), box, 1.0)
+    return field_quadrature(field, jumps, horizon, box, n_nodes=n_nodes, power=p) ** (1.0 / p)
 
 
 @dataclass
@@ -257,10 +239,9 @@ class IntegralPath:
     values: np.ndarray
 
     @classmethod
-    def compute(cls, field, jumps, box, config, horizon, truncation=None, extra_times=(), n_nodes=16):
+    def compute(cls, field, jumps, box, config, horizon, truncation=None, n_nodes=16):
         times = {0.0, float(horizon)}
         times.update(float(s) for s in jumps.times if 0.0 < s <= horizon)
-        times.update(float(s) for s in extra_times if 0.0 <= s <= horizon)
         grid = np.array(sorted(times))
         vals = np.array(
             [

@@ -238,13 +238,10 @@ def eval_kernel(spec: KernelSpec, t, x, y):
     if kind is KernelKind.FRACTIONAL_HEAT:
         if spec.gamma == 1.0:
             return _gauss(t_arr, _sqdist(x, y, spec.dim), spec.dim, 2.0)
-        flat_t = np.broadcast_arrays(t_arr, _sqdist(x, y, spec.dim))
-        out = np.empty(flat_t[0].shape)
-        it = np.nditer(flat_t[0], flags=["multi_index"])
+        ts, sqs = np.broadcast_arrays(t_arr, _sqdist(x, y, spec.dim))
         memo = ({}, {})
-        for _ in it:
-            idx = it.multi_index
-            out[idx] = _subordinated_from_sq(spec.gamma, float(flat_t[0][idx]), float(flat_t[1][idx]), spec.dim, memo)
+        vals = [_subordinated_from_sq(spec.gamma, float(t), float(sq), spec.dim, memo) for t, sq in zip(ts.flat, sqs.flat)]
+        out = np.array(vals, dtype=float).reshape(ts.shape)
         return out if out.ndim else float(out)
     raise ValueError(f"unknown kernel kind {kind}")
 

@@ -69,10 +69,6 @@ class NoiseConfig:
     def expected_jump_count(self):
         return self.horizon * self.domain.volume * self.cutoff ** (-self.measure.alpha)
 
-    @property
-    def window(self):
-        return SpaceTimeBox(0.0, self.horizon, self.domain) if self.horizon > 0 else None
-
 
 @dataclass(frozen=True)
 class JumpSet:
@@ -183,7 +179,7 @@ def noise_of_box(jumps: JumpSet, box: SpaceTimeBox, config: NoiseConfig, level=N
     volume times the band integral over (cutoff, level], where the default
     `level=None` keeps every jump and the band is (cutoff, inf).
     """
-    if level is not None and level <= jumps.cutoff:
+    if level is not None and not level > jumps.cutoff:
         raise ValueError("truncation level must exceed the simulation cutoff")
     _require_inside_window(jumps, box)
     mask = box.contains(jumps.times, jumps.locations)
@@ -197,7 +193,7 @@ def noise_of_box(jumps: JumpSet, box: SpaceTimeBox, config: NoiseConfig, level=N
 
 def truncate(jumps: JumpSet, level) -> JumpSet:
     """Retain exactly the jumps with modulus <= level (inclusive boundary)."""
-    if level <= jumps.cutoff:
+    if not level > jumps.cutoff:
         raise ValueError("truncation level must exceed the simulation cutoff")
     keep = np.abs(jumps.sizes) <= level
     return replace(
@@ -210,7 +206,7 @@ def truncate(jumps: JumpSet, level) -> JumpSet:
 
 def first_large_jump_time(jumps: JumpSet, space: Box, level) -> float:
     """Earliest time a jump with modulus above `level` lands in `space`; inf if none."""
-    if level <= jumps.cutoff:
+    if not level > jumps.cutoff:
         raise ValueError("level must exceed the simulation cutoff")
     mask = (np.abs(jumps.sizes) > level) & space.contains(jumps.locations)
     if not mask.any():

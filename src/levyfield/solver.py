@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import asdict, dataclass, replace as _dc_replace
 
 import numpy as np
 
@@ -131,8 +131,10 @@ class SolverConfig:
         else:
             if not a < self.p <= 2:
                 raise ValueError("exponent must lie in (alpha, 2] for alpha > 1")
-        if self.truncation is not None and self.truncation <= self.noise.cutoff:
+        if self.truncation is not None and not self.truncation > self.noise.cutoff:
             raise ValueError("truncation level must exceed the noise cutoff")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError("tolerance must be finite and nonnegative")
         if self.n_t < 2 or self.n_x < 2:
             raise ValueError("need at least 2 grid points per axis")
         self._check_jp_integrable()
@@ -163,17 +165,8 @@ class PicardDiagnostics:
     converged: bool
 
     def to_json(self, k_used=None, meta=None):
-        payload = {
-            "iterations": self.iterations,
-            "sup_diffs": self.sup_diffs,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-        if k_used is not None:
-            payload["k_used"] = k_used
-        if meta is not None:
-            payload["meta"] = meta
-        return json.dumps(payload, sort_keys=True)
+        payload = dict(asdict(self), k_used=k_used, meta=meta)
+        return json.dumps({k: v for k, v in payload.items() if v is not None}, sort_keys=True)
 
 
 @dataclass
@@ -183,8 +176,6 @@ class SolutionField:
     t_grid: np.ndarray
     x_grid: np.ndarray
     grid_values: np.ndarray  # (n_t, n_x)
-    jump_times: np.ndarray
-    jump_locations: np.ndarray
     jump_values: np.ndarray
     diagnostics: PicardDiagnostics | None = None
     k_used: float | None = None
@@ -255,13 +246,9 @@ class _PicardWorkspace:
         self.jump_x = jumps.locations[:, 0].copy()
         self.jump_z = jumps.sizes.copy()
         self.n_jumps = self.jump_t.shape[0]
-        eval_t = [self.jump_t]
-        eval_x = [self.jump_x]
         tt, xx = np.meshgrid(self.t_grid, self.x_grid, indexing="ij")
-        eval_t.append(tt.ravel())
-        eval_x.append(xx.ravel())
-        self.eval_t = np.concatenate(eval_t)
-        self.eval_x = np.concatenate(eval_x)
+        self.eval_t = np.concatenate([self.jump_t, tt.ravel()])
+        self.eval_x = np.concatenate([self.jump_x, xx.ravel()])
         self.n_eval = self.eval_t.shape[0]
         self.grid_slice = slice(self.n_jumps, self.n_eval)
         self.A = self._build_jump_matrix()
@@ -359,49 +346,53 @@ class _PicardWorkspace:
             t_grid=self.t_grid.copy(),
             x_grid=self.x_grid.copy(),
             grid_values=self.lattice_values(u_eval).copy(),
-            jump_times=self.jump_t.copy(),
-            jump_locations=self.jump_x.copy(),
             jump_values=u_eval[: self.n_jumps].copy(),
             diagnostics=diagnostics,
             k_used=k_used,
         )
 
 
-def _total_band(config: SolverConfig, jumps: JumpSet, truncation, extra_drift: bool):
+def _band(config: SolverConfig, cutoff, level, tail_drift: bool):
     """Band coefficient multiplying the drift operator in one sweep.
 
-    Compensation band (cutoff, K] for a truncated solve, (cutoff, inf) for
-    the full noise; an explicit drift adds the (K, inf) remainder, which
-    restores the full band exactly.
+    Compensation band (cutoff, level], or (cutoff, inf) for `level=None`;
+    the tail drift adds the (level, inf) remainder, which restores the full
+    band exactly.
     """
     measure = config.noise.measure
     if measure.alpha < 1:
         return 0.0
-    upper = math.inf if truncation is None else truncation
-    band = compensator_band(measure, jumps.cutoff, upper).value
-    if extra_drift:
-        if truncation is None:
-            raise ValueError("explicit drift requires a truncation level")
-        band += compensator_band(measure, truncation, math.inf).value
+    band = compensator_band(measure, cutoff, math.inf if level is None else level).value
+    if tail_drift:
+        band += compensator_band(measure, level, math.inf).value
     return band
 
 
 def _iterate(ws: _PicardWorkspace, sigma: LipschitzSigma, band_value, config: SolverConfig, start=None):
     u = np.zeros(ws.n_eval) if start is None else start.copy()
     diffs = []
+    converged = False
     for _ in range(config.max_iterations):
         u_next = ws.sweep(u, sigma, band_value)
-        diff = float(np.abs(u_next - u).max())
-        diffs.append(diff)
+        diffs.append(float(np.abs(u_next - u).max()))
         u = u_next
-        if diff < config.tolerance:
-            residual = float(np.abs(ws.sweep(u, sigma, band_value) - u).max())
-            return u, PicardDiagnostics(len(diffs), diffs, residual, True)
+        if diffs[-1] < config.tolerance:
+            converged = True
+            break
         if len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]:
             diag = PicardDiagnostics(len(diffs), diffs, math.inf, False)
             raise PicardDivergenceError("successive-iterate distances grew three sweeps in a row", diag)
     residual = float(np.abs(ws.sweep(u, sigma, band_value) - u).max())
-    return u, PicardDiagnostics(len(diffs), diffs, residual, False)
+    return u, PicardDiagnostics(len(diffs), diffs, residual, converged)
+
+
+def _solve(config: SolverConfig, sigma: LipschitzSigma, jumps: JumpSet, start, tail_drift: bool):
+    """Truncate at `config.truncation`, then iterate with the (tail-drifted) band."""
+    level = config.truncation
+    work_jumps = jumps if level is None else truncate(jumps, level)
+    ws = _PicardWorkspace(config, work_jumps)
+    u, diag = _iterate(ws, sigma, _band(config, jumps.cutoff, level, tail_drift), config, start=start)
+    return ws.solution_field(u, diag, k_used=level)
 
 
 def solve_linear(kernel: KernelSpec, jumps: JumpSet, config: SolverConfig) -> SolutionField:
@@ -409,14 +400,16 @@ def solve_linear(kernel: KernelSpec, jumps: JumpSet, config: SolverConfig) -> So
 
     u(t, x) is the sum of G(t - T_i, x, X_i) * z_i over strictly earlier
     jumps, minus the full-band compensator drift when alpha > 1.  Requires a
-    finite alpha-integrability functional for the kernel.
+    finite alpha-integrability functional for the kernel, which must be
+    `config.kernel`.
     """
     alpha = config.noise.measure.alpha
     if not i_alpha_finite(kernel, alpha):
         raise ValueError("the linear equation has no solution for this kernel and alpha")
+    if kernel != config.kernel:
+        raise ValueError("the kernel must be the solver configuration's kernel")
     ws = _PicardWorkspace(config, jumps)
-    band = _total_band(config, jumps, None, extra_drift=False)
-    u = ws.sweep(np.zeros(ws.n_eval), sigma_one(), band)
+    u = ws.sweep(np.zeros(ws.n_eval), sigma_one(), _band(config, jumps.cutoff, None, False))
     return ws.solution_field(u, None)
 
 
@@ -435,12 +428,7 @@ def picard_solve(
     `start` optionally seeds iterate zero with another solution field's
     evaluation vector for cross-start uniqueness checks.
     """
-    level = config.truncation
-    work_jumps = truncate(jumps, level) if level is not None else jumps
-    ws = _PicardWorkspace(config, work_jumps)
-    band = _total_band(config, work_jumps, level, extra_drift=False)
-    u, diag = _iterate(ws, sigma, band, config, start=start)
-    return ws.solution_field(u, diag, k_used=level)
+    return _solve(config, sigma, jumps, start, tail_drift=False)
 
 
 def picard_solve_drifted(
@@ -460,11 +448,7 @@ def picard_solve_drifted(
         raise ValueError("the drifted equation applies to alpha > 1 only")
     if config.truncation is None:
         raise ValueError("the drifted equation needs a truncation level")
-    work_jumps = truncate(jumps, config.truncation)
-    ws = _PicardWorkspace(config, work_jumps)
-    band = _total_band(config, work_jumps, config.truncation, extra_drift=True)
-    u, diag = _iterate(ws, sigma, band, config, start=start)
-    return ws.solution_field(u, diag, k_used=config.truncation)
+    return _solve(config, sigma, jumps, start, tail_drift=True)
 
 
 @dataclass
@@ -484,18 +468,14 @@ def glue(config: SolverConfig, sigma: LipschitzSigma, jumps: JumpSet, k_ladder) 
     levels = list(k_ladder)
     if not levels:
         raise ValueError("the truncation ladder must be nonempty")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
+    if not all(b > a for a, b in zip(levels, levels[1:])):
         raise ValueError("the truncation ladder must strictly increase")
-    if levels[0] <= jumps.cutoff:
+    if not levels[0] > jumps.cutoff:
         raise ValueError("ladder levels must exceed the simulation cutoff")
     horizon = config.noise.horizon
     for level in levels:
         tau = first_large_jump_time(jumps, config.noise.domain, level)
         if tau > horizon:
-            cfg = _dc_replace(config, truncation=level)
-            if config.noise.measure.alpha > 1:
-                sol = picard_solve_drifted(cfg, sigma, jumps)
-            else:
-                sol = picard_solve(cfg, sigma, jumps)
-            return GlueResult(sol, level, True)
+            solve = picard_solve_drifted if config.noise.measure.alpha > 1 else picard_solve
+            return GlueResult(solve(_dc_replace(config, truncation=level), sigma, jumps), level, True)
     return GlueResult(None, None, False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "survival_suite",
     "local_property_suite",
     "SUITES",
+    "NEGATIVE_CONTROLS",
     "run_suite",
 ]
 
@@ -85,17 +86,7 @@ class TestReport:
             "seed": self.seed,
             "replicates": self.replicates,
             "passed": self.passed,
-            "entries": [
-                {
-                    "name": e.name,
-                    "statistic": e.statistic,
-                    "bound": e.bound,
-                    "std_error": e.std_error,
-                    "passed": e.passed,
-                    "provenance": e.provenance,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
 
     def to_json(self, include_timing=True):
@@ -217,7 +208,6 @@ def tail_bound_suite(
     alpha=0.5,
     beta=0.0,
     truncation=1.0,
-    volumes=None,
     cutoff=1e-3,
     replicates=100_000,
     seed=2,
@@ -244,12 +234,10 @@ def tail_bound_suite(
     rng = np.random.default_rng(seed)
     if alpha < 1:
         lam_grid = truncation * np.array([0.25, 0.5, 1.0])
-        if volumes is None:
-            volumes = (0.004, 0.008, 0.016)
+        volumes = (0.004, 0.008, 0.016)
     else:
         lam_grid = truncation * np.array([0.5, 0.75, 1.0])
-        if volumes is None:
-            volumes = (0.0005, 0.001, 0.002)
+        volumes = (0.0005, 0.001, 0.002)
 
     ref_volume = volumes[-1]
     stats = {}
@@ -411,14 +399,13 @@ def local_property_suite(
     cutoff=None,
     truncation=1.0,
     replicates=200,
-    threshold_jumps=3,
     seed=5,
     corrupt=False,
 ) -> TestReport:
     """Exact zero integrals on realizations where the integrand vanishes.
 
     The integrand is a deterministic profile masked to zero whenever the
-    realization has fewer than `threshold_jumps` jumps (a window-measurable
+    realization has fewer than three jumps (a window-measurable
     predicate).  On every masked realization both the full and the truncated
     integrals must be exactly zero.  `corrupt=True` drops the mask, which
     must break the suite.
@@ -437,8 +424,7 @@ def local_property_suite(
     masked_nonzero_trunc = 0
     for _ in range(replicates):
         jumps = simulate_jumps(config, rng)
-        vanish = jumps.n < threshold_jumps
-        if not vanish:
+        if jumps.n >= 3:
             continue
         masked_hits += 1
         if corrupt:
@@ -478,6 +464,15 @@ SUITES = {
     "moment": moment_scaling_suite,
     "survival": survival_suite,
     "local": local_property_suite,
+}
+
+# the built-in perturbation of each suite (negative control): it must fail
+NEGATIVE_CONTROLS = {
+    "ecf": {"alpha_perturbation": 0.3},
+    "survival": {"alpha_perturbation": 0.3},
+    "tail": {"alpha_perturbation": 0.3},
+    "moment": {"slope_offset": 0.3},
+    "local": {"corrupt": True},
 }
 
 

@@ -142,6 +142,16 @@ class TestCommands:
         assert diag["converged"] is True
         assert (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "linear"])
+    def test_nan_truncation_is_usage_error(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[solver]\ntruncation = nan\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_file), "--seed", "3", "--out", str(out), command])
+        assert code == 2
+        assert "truncation" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
     def test_linear_writes_solution(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["--seed", "3", "--out", str(out), "linear"]) == 0

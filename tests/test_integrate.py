@@ -150,6 +150,12 @@ class TestIntegrateField:
         value_field = PredictableField(lambda t, x, hist: 3.0)
         assert integrate_field(value_field, jumps, 0.5, UNIT, config) == pytest.approx(6.0)
 
+    def test_nan_truncation_rejected(self):
+        config = unit_config(alpha=0.5, cutoff=0.01)
+        jumps = make_jumps([0.5], [0.5], [2.0], cutoff=0.01)
+        with pytest.raises(ValueError, match="truncation"):
+            integrate_field(lambda t, x: 1.0, jumps, 1.0, UNIT, config, truncation=math.nan)
+
     def test_predictability_violation_raises(self):
         config = unit_config(alpha=0.5, cutoff=0.01)
         jumps = make_jumps([0.2, 0.5], [0.3, 0.6], [1.0, 1.0], cutoff=0.01)
@@ -218,8 +224,6 @@ class TestLpNorm:
         assert got == pytest.approx(4.0 / 9.0, rel=1e-4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            lp_norm(lambda t, x: t, 0.5, 1.0, UNIT, replicates=0)
         with pytest.raises(ValueError):
             lp_norm(lambda t, x: t, 2.5, 1.0, UNIT)
 

@@ -158,6 +158,17 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(jumps, 0.1)
 
+    def test_nan_level_rejected(self):
+        # a NaN level compares false with everything, so it must not pass as "above the cutoff"
+        jumps = make_jumps([0.1], [0.3], [0.5], cutoff=0.2)
+        box = SpaceTimeBox(0.0, 1.0, UNIT)
+        with pytest.raises(ValueError):
+            truncate(jumps, math.nan)
+        with pytest.raises(ValueError):
+            noise_of_box(jumps, box, unit_config(cutoff=0.2), level=math.nan)
+        with pytest.raises(ValueError):
+            first_large_jump_time(jumps, UNIT, math.nan)
+
 
 class TestTruncatedBoxValues:
     def test_symmetric_compensator_vanishes(self):

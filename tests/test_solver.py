@@ -92,6 +92,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             solver_config(truncation=1e-4)
 
+    def test_nan_truncation_rejected(self):
+        with pytest.raises(ValueError, match="truncation"):
+            solver_config(truncation=math.nan)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-8])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            solver_config(tolerance=tolerance)
+
     @pytest.mark.parametrize(
         "kernel,domain",
         [(KernelSpec(KernelKind.WAVE_2D, dim=2), UNIT), (KernelSpec(KernelKind.HEAT_FREE, dim=2), UNIT), (WAVE, SQUARE)],
@@ -178,6 +187,12 @@ class TestLinear:
         with pytest.raises(ValueError, match="no solution"):
             solve_linear(frac, empty_jumps(), cfg)
 
+    def test_kernel_other_than_config_kernel_rejected(self):
+        # the solve runs with config.kernel, so a second kernel is an error
+        jumps = make_jumps([0.25], [0.5], [2.0], cutoff=1e-3)
+        with pytest.raises(ValueError, match="kernel"):
+            solve_linear(DIRICHLET, jumps, solver_config(kernel=WAVE))
+
 
 class TestPicard:
     def test_zero_coefficient(self):
@@ -258,7 +273,7 @@ class TestPicard:
         for _ in range(n_rep):
             jumps = simulate_jumps(cfg.noise, rng)
             level_jumps = truncate(jumps, 1.0)
-            from levyfield.solver import _PicardWorkspace, _total_band, _iterate
+            from levyfield.solver import _PicardWorkspace
 
             ws = _PicardWorkspace(cfg, level_jumps)
             u = np.zeros(ws.n_eval)
@@ -319,6 +334,12 @@ class TestDrifted:
 
 
 class TestGlue:
+    @pytest.mark.parametrize("ladder", [[math.nan], [1.0, math.nan], [math.nan, 1.0]])
+    def test_nan_level_rejected(self, ladder):
+        jumps = make_jumps([0.25], [0.5], [2.0], cutoff=1e-3)
+        with pytest.raises(ValueError):
+            glue(solver_config(), sigma_affine(1.0, 1.0), jumps, ladder)
+
     def test_single_sufficient_level(self):
         cfg = solver_config()
         rng = np.random.default_rng(60)
