@@ -2,7 +2,8 @@
 
 Every output file starts with a comment line carrying the package version
 and the seed.  Exit codes: 0 success, 1 statistical-suite failure, 2 usage
-or configuration error, 3 internal error (a failed computation).
+or configuration error (nothing written), 3 internal error (a failed
+computation, or a Picard solve that diverged or did not converge).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .boxes import Box, SpaceTimeBox
 from .config import ConfigError, RunConfig, load_config
 from .kernels import eval_kernel, i_alpha, j_p
 from .noise import noise_of_box, save_jumps_csv, simulate_jumps, write_csv
-from .solver import picard_solve, picard_solve_drifted, solve_linear
+from .solver import PicardDivergenceError, picard_solve, picard_solve_drifted, solve_linear
 from .verify import NEGATIVE_CONTROLS, SUITES, run_suite
 
 USAGE_ERROR = 2
@@ -46,12 +47,12 @@ def _split_domain(box):
 
 
 def cmd_noise(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
     noise_config = cfg.noise_config()
-    rng = np.random.default_rng(cfg.run.seed)
     replicates = cfg.run.replicates
     if replicates < 1:
         raise ConfigError("replicates must be at least 1")
+    out = _prepare_out(cfg)
+    rng = np.random.default_rng(cfg.run.seed)
     window = SpaceTimeBox(0.0, noise_config.horizon, noise_config.domain)
     left, right = _split_domain(noise_config.domain)
     rows = []
@@ -81,9 +82,9 @@ def cmd_noise(cfg: RunConfig) -> int:
 
 
 def cmd_linear(cfg: RunConfig) -> int:
+    solver_cfg = cfg.solver_config()
     out = _prepare_out(cfg)
     rng = np.random.default_rng(cfg.run.seed)
-    solver_cfg = cfg.solver_config()
     jumps = simulate_jumps(solver_cfg.noise, rng, seed_info=str(cfg.run.seed))
     sol = solve_linear(solver_cfg.kernel, jumps, solver_cfg)
     sol.save_csv(out / "linear_solution.csv", header_comment=_header(cfg))
@@ -92,27 +93,30 @@ def cmd_linear(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
-    rng = np.random.default_rng(cfg.run.seed)
     solver_cfg = cfg.solver_config()
     sigma = cfg.sigma()
+    out = _prepare_out(cfg)
+    rng = np.random.default_rng(cfg.run.seed)
     jumps = simulate_jumps(solver_cfg.noise, rng, seed_info=str(cfg.run.seed))
-    sol = (picard_solve_drifted if cfg.noise.alpha > 1 else picard_solve)(solver_cfg, sigma, jumps)
-    sol.save_csv(out / "solution.csv", header_comment=_header(cfg))
+    try:
+        sol = (picard_solve_drifted if cfg.noise.alpha > 1 else picard_solve)(solver_cfg, sigma, jumps)
+        d = sol.diagnostics
+    except PicardDivergenceError as exc:
+        d = exc.diagnostics
     diag_path = out / "diagnostics.json"
-    diag_path.write_text(sol.diagnostics.to_json(k_used=sol.k_used, meta=_header(cfg)), encoding="utf-8")
-    d = sol.diagnostics
-    print(
-        f"jumps={jumps.n} iterations={d.iterations} residual={d.residual:.3g} "
-        f"converged={d.converged}"
-    )
+    diag_path.write_text(d.to_json(k_used=solver_cfg.truncation, meta=_header(cfg)), encoding="utf-8")
+    if not d.converged:  # diverged, or out of iterations: no solution file
+        print(f"error: the Picard iteration did not converge; see {diag_path}", file=sys.stderr)
+        return INTERNAL_ERROR
+    sol.save_csv(out / "solution.csv", header_comment=_header(cfg))
+    print(f"jumps={jumps.n} iterations={d.iterations} residual={d.residual:.3g} converged={d.converged}")
     print(f"wrote {out / 'solution.csv'} and {diag_path}")
     return 0
 
 
 def cmd_kernels(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg)
     spec = cfg.kernel_spec()
+    out = _prepare_out(cfg)
     alpha = cfg.noise.alpha
     p = cfg.solver.p
     times = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -136,7 +140,6 @@ def cmd_kernels(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
-    out = _prepare_out(cfg)
     names = sorted(SUITES) if suite_name == "all" else [suite_name]
     unknown = [n for n in names if n not in SUITES]
     if unknown:
@@ -145,6 +148,7 @@ def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    out = _prepare_out(cfg)
     all_passed = True
     for name in names:
         kwargs = {"alpha": cfg.noise.alpha, "beta": cfg.noise.beta, "seed": cfg.run.seed}

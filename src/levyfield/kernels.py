@@ -105,32 +105,63 @@ def _gauss(t, sq, dim, diffusivity):
     return (2.0 * math.pi * var) ** (-dim / 2.0) * np.exp(-sq / (2.0 * var))
 
 
+def _gaussian_kind(spec, t, x, y, per_t):
+    """G(t, x, y) for the Gaussian kinds; None for the wave and subordinated kernels.
+
+    `per_t`: `t` is 1-D, on a leading axis of the result, with the bytes of one
+    call per t.  An array `**` rounds unlike a scalar one and the shell count
+    follows a call's largest t, so factors of t alone are then made per t.
+    """
+    if spec.kind in (KernelKind.WAVE_1D, KernelKind.WAVE_2D) or spec.gamma not in (None, 1.0):
+        return None
+    sq = _sqdist(x, y, spec.dim)
+    t = t.reshape(t.shape + (1,) * sq.ndim) if per_t else t
+
+    def each(fn, a):
+        return np.array([fn(v) for v in a.flat]).reshape(a.shape) if per_t else fn(a)
+
+    var = (2.0 if spec.kind in (KernelKind.CABLE, KernelKind.FRACTIONAL_HEAT) else 1.0) * t  # variance rate
+    pref = each(lambda v: (2.0 * math.pi * v) ** (-spec.dim / 2.0), var)
+
+    def gauss(sq):  # _gauss with the prefactor computed once
+        return pref * np.exp(-sq / (2.0 * var))
+
+    if spec.kind is KernelKind.HEAT_DIRICHLET_INTERVAL:
+        return _image_sum(gauss, x, y, each(_image_shells, t) if per_t else _image_shells(float(np.max(t))))
+    out = gauss(sq)
+    return out * each(np.exp, -t) if spec.kind is KernelKind.CABLE else out
+
+
 _IMAGE_TOL = 1e-14
 
 
-def _dirichlet_interval(t, x, y):
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any((x < 0) | (x > 1) | (y < 0) | (y > 1)):
-        raise ValueError("interval kernel arguments must lie in [0, 1]")
-    t_max = float(np.max(t))
+def _image_shells(t):
     # image shells 2n +/- offsets decay like exp(-(2n-2)^2 / (2 t)); stop when
     # the largest possible new term falls below the series tolerance
     n_max = 1
     while n_max < 64:
-        bound = (2.0 * math.pi * t_max) ** -0.5 * math.exp(-((2 * n_max - 2) ** 2) / (2.0 * t_max))
+        bound = (2.0 * math.pi * t) ** -0.5 * math.exp(-((2 * n_max - 2) ** 2) / (2.0 * t))
         if bound < _IMAGE_TOL:
             break
         n_max += 1
-    # summing image shells in +/- k pairs keeps the source-target swap exact
-    # in floating point (pair sums are commutative)
+    return n_max
+
+
+def _image_sum(gauss, x, y, shells):
+    # heat kernel on (0, 1) by images of the free kernel `gauss(sq)`, in +/- k pairs
+    # (pair sums commute: the source-target swap is exact); `shells` is one count,
+    # or one per element (no shell past an element's own count)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any((x < 0) | (x > 1) | (y < 0) | (y > 1)):
+        raise ValueError("interval kernel arguments must lie in [0, 1]")
     u = x - y
     v = x + y
-    total = _gauss(t, u**2, 1, 1.0) - _gauss(t, v**2, 1, 1.0)
-    for k in range(1, n_max + 1):
-        total += _gauss(t, (u + 2.0 * k) ** 2, 1, 1.0) + _gauss(t, (u - 2.0 * k) ** 2, 1, 1.0)
-        total -= _gauss(t, (v + 2.0 * k) ** 2, 1, 1.0) + _gauss(t, (v - 2.0 * k) ** 2, 1, 1.0)
+    total = gauss(u**2) - gauss(v**2)
+    for k in range(1, int(np.max(shells)) + 1):
+        new = total + (gauss((u + 2.0 * k) ** 2) + gauss((u - 2.0 * k) ** 2))
+        new -= gauss((v + 2.0 * k) ** 2) + gauss((v - 2.0 * k) ** 2)
+        total = new if np.ndim(shells) == 0 else np.where(k <= shells, new, total)
     return np.maximum(total, 0.0)
 
 
@@ -217,13 +248,10 @@ def eval_kernel(spec: KernelSpec, t, x, y):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
+    out = _gaussian_kind(spec, t_arr, x, y, per_t=False)
+    if out is not None:
+        return out
     kind = spec.kind
-    if kind is KernelKind.HEAT_FREE:
-        return _gauss(t_arr, _sqdist(x, y, spec.dim), spec.dim, 1.0)
-    if kind is KernelKind.HEAT_DIRICHLET_INTERVAL:
-        return _dirichlet_interval(t_arr, x, y)
-    if kind is KernelKind.CABLE:
-        return _gauss(t_arr, _sqdist(x, y, 1), 1, 2.0) * np.exp(-t_arr)
     if kind is KernelKind.WAVE_1D:
         r = np.sqrt(_sqdist(x, y, 1))
         return np.where(r < t_arr, 0.5, 0.0)
@@ -236,14 +264,20 @@ def eval_kernel(spec: KernelSpec, t, x, y):
             vals = np.where(inside, 1.0 / (2.0 * math.pi * np.sqrt(np.maximum(tsq - sq, 0.0))), 0.0)
         return np.where(on_ring, np.inf, vals)
     if kind is KernelKind.FRACTIONAL_HEAT:
-        if spec.gamma == 1.0:
-            return _gauss(t_arr, _sqdist(x, y, spec.dim), spec.dim, 2.0)
         ts, sqs = np.broadcast_arrays(t_arr, _sqdist(x, y, spec.dim))
         memo = ({}, {})
         vals = [_subordinated_from_sq(spec.gamma, float(t), float(sq), spec.dim, memo) for t, sq in zip(ts.flat, sqs.flat)]
         out = np.array(vals, dtype=float).reshape(ts.shape)
         return out if out.ndim else float(out)
     raise ValueError(f"unknown kernel kind {kind}")
+
+
+def _eval_kernel_per_t(spec: KernelSpec, ts, x, y):
+    """`eval_kernel(spec, t, x, y)` for each t of the 1-D `ts`, on a leading axis, same bytes."""
+    out = _gaussian_kind(spec, ts, x, y, per_t=True)
+    if out is None:  # the wave and subordinated kernels already go element by element
+        out = eval_kernel(spec, ts.reshape(ts.shape + (1,) * np.ndim(_sqdist(x, y, spec.dim))), x, y)
+    return out
 
 
 def _subordinated_from_sq(gamma, t, sq, dim, memo):

@@ -11,13 +11,14 @@ compensated solves hold to rounding.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .kernels import KernelKind, KernelSpec, _gl_on, eval_kernel, i_alpha_finite
+from .kernels import KernelKind, KernelSpec, _eval_kernel_per_t, _gl_on, eval_kernel, i_alpha_finite
 from .noise import JumpSet, NoiseConfig, compensator_band, first_large_jump_time, truncate, write_csv
 
 __all__ = [
@@ -135,6 +136,8 @@ class SolverConfig:
             raise ValueError("truncation level must exceed the noise cutoff")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError("tolerance must be finite and nonnegative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.n_t < 2 or self.n_x < 2:
             raise ValueError("need at least 2 grid points per axis")
         self._check_jp_integrable()
@@ -198,19 +201,18 @@ class SolutionField:
 
 
 def _hat_integrals(chi, a, b):
-    """Integrals of the piecewise-linear hat basis on grid `chi` over [a, b]."""
-    n = chi.shape[0]
-    out = np.zeros(n)
+    """Integrals of the piecewise-linear hat basis on the grid `chi` (a list of floats) over [a, b]."""
+    out = [0.0] * len(chi)
     a = max(a, chi[0])
     b = min(b, chi[-1])
     if b <= a:
         return out
-    # scalar on purpose: `** 2` on an np.float64 calls libm pow, on an array it is x*x (other bytes)
-    for m in range(n - 1):
+    # Python floats: `** 2` calls libm pow as on an np.float64, where an array
+    # `** 2` is x*x (other bytes); only the cells that meet (a, b) are visited
+    for m in range(bisect.bisect_right(chi, a) - 1, bisect.bisect_left(chi, b)):
         lo, hi = chi[m], chi[m + 1]
-        c, d = max(a, lo), min(b, hi)
-        if d <= c:
-            continue
+        c = lo if lo > a else a
+        d = hi if hi < b else b
         h = hi - lo
         # integral of (hi - y)/h over [c, d] -> left node, (y - lo)/h -> right
         out[m] += ((hi - c) ** 2 - (hi - d) ** 2) / (2.0 * h)
@@ -266,21 +268,6 @@ class _PicardWorkspace:
             A[rows, cols] = vals * self.jump_z[cols]
         return A
 
-    def _spatial_rule(self, tau, x_e, cells):
-        """Weights over the spatial lattice for int_O G(tau, x_e, y) hat_m(y) dy.
-
-        `cells`: nodes, weights and hat fractions per lattice cell; None for the wave kernel.
-        """
-        chi = self.x_grid
-        if cells is None:
-            return 0.5 * _hat_integrals(chi, x_e - tau, x_e + tau)
-        ys, ws, frac = cells
-        g = eval_kernel(self.config.kernel, tau, x_e, ys) * ws
-        out = np.zeros(chi.shape[0])
-        out[:-1] += (g * (1.0 - frac)).sum(axis=1)
-        out[1:] += (g * frac).sum(axis=1)
-        return out
-
     def _time_breaks(self, t_e, x_e):
         breaks = {0.0, float(t_e)}
         breaks.update(float(t) for t in self.t_grid if 0.0 < t < t_e)
@@ -294,37 +281,39 @@ class _PicardWorkspace:
         return sorted(breaks)
 
     def build_drift_operator(self):
-        """Rows: evaluation points; columns: (time, space) lattice nodes."""
+        """Rows: evaluation points; columns: (time, space) lattice nodes.
+
+        One kernel evaluation per row covers all its time nodes and cells.
+        """
         if self.Q is not None:
             return self.Q
-        n_lat = self.t_grid.shape[0] * self.x_grid.shape[0]
-        Q = np.zeros((self.n_eval, n_lat))
-        nt = self.t_grid.shape[0]
-        nx = self.x_grid.shape[0]
-        cells = None
-        if self.config.kernel.kind is not KernelKind.WAVE_1D:
-            lo, hi = self.x_grid[:-1, None], self.x_grid[1:, None]
-            ys, wy = _gl_on(lo, hi, DRIFT_NODES)
-            cells = ys, wy, (ys - lo) / (hi - lo)
-        for e in range(self.n_eval):
-            t_e = float(self.eval_t[e])
-            x_e = float(self.eval_x[e])
+        t_grid, spec, chi = self.t_grid, self.config.kernel, self.x_grid.tolist()
+        nt, nx = t_grid.shape[0], len(chi)
+        Q = np.zeros((self.n_eval, nt * nx))
+        lo, hi = self.x_grid[:-1, None], self.x_grid[1:, None]
+        ys, wy = _gl_on(lo, hi, DRIFT_NODES)
+        cell_frac = (ys - lo) / (hi - lo)
+        for e, (t_e, x_e) in enumerate(zip(self.eval_t.tolist(), self.eval_x.tolist())):
             if t_e <= 0:
                 continue
-            row = np.zeros((nt, nx))
             edges = self._time_breaks(t_e, x_e)
-            for a, b in zip(edges[:-1], edges[1:]):
-                for s, ws in zip(*_gl_on(a, b, DRIFT_NODES)):
-                    tau = t_e - s
-                    if tau <= 0:
-                        continue
-                    sp = self._spatial_rule(tau, x_e, cells)
-                    k = min(int(np.searchsorted(self.t_grid, s, side="right")) - 1, nt - 2)
-                    k = max(k, 0)
-                    frac = (s - self.t_grid[k]) / (self.t_grid[k + 1] - self.t_grid[k])
-                    row[k] += ws * (1.0 - frac) * sp
-                    row[k + 1] += ws * frac * sp
-            Q[e] = row.ravel()
+            panels = zip(*(_gl_on(a, b, DRIFT_NODES) for a, b in zip(edges, edges[1:])))
+            s, ws = (np.concatenate(part) for part in panels)
+            tau = t_e - s
+            keep = tau > 0
+            s, ws, tau = s[keep], ws[keep], tau[keep]
+            if spec.kind is KernelKind.WAVE_1D:
+                sp = 0.5 * np.array([_hat_integrals(chi, x_e - r, x_e + r) for r in tau.tolist()])
+            else:
+                g = _eval_kernel_per_t(spec, tau, x_e, ys) * wy
+                sp = np.zeros((tau.shape[0], nx))
+                sp[:, :-1] += (g * (1.0 - cell_frac)).sum(axis=2)
+                sp[:, 1:] += (g * cell_frac).sum(axis=2)
+            k = np.clip(np.searchsorted(t_grid, s, side="right") - 1, 0, nt - 2)
+            frac = (s - t_grid[k]) / (t_grid[k + 1] - t_grid[k])
+            # node by node, k before k + 1: three or more terms meet in one entry
+            terms = np.stack([(ws * (1.0 - frac))[:, None] * sp, (ws * frac)[:, None] * sp], axis=1)
+            np.add.at(Q[e].reshape(nt, nx), np.stack([k, k + 1], axis=1).ravel(), terms.reshape(-1, nx))
         self.Q = Q
         return Q
 

@@ -125,6 +125,26 @@ def cable_i_alpha_quad(alpha, t):
     return val
 
 
+def hat_integrals_scalar(chi, a, b):
+    """Integrals of the hat basis on grid `chi` over [a, b], in np.float64
+    scalars cell by cell: the drift operator's wave rule as first written."""
+    n = chi.shape[0]
+    out = np.zeros(n)
+    a = max(a, chi[0])
+    b = min(b, chi[-1])
+    if b <= a:
+        return out
+    for m in range(n - 1):
+        lo, hi = chi[m], chi[m + 1]
+        c, d = max(a, lo), min(b, hi)
+        if d <= c:
+            continue
+        h = hi - lo
+        out[m] += ((hi - c) ** 2 - (hi - d) ** 2) / (2.0 * h)
+        out[m + 1] += ((d - lo) ** 2 - (c - lo) ** 2) / (2.0 * h)
+    return out
+
+
 def ecf_points(samples, u_grid):
     """Plain empirical characteristic function (no chunking tricks)."""
     samples = np.asarray(samples, dtype=float)

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from levyfield import cli
 from levyfield.cli import main
 from levyfield.config import ConfigError, RunConfig, parse_config
+from levyfield.solver import PicardDiagnostics, PicardDivergenceError
 
 MINIMAL_INI = """
 [run]
@@ -200,6 +202,56 @@ class TestCommands:
         code = main(["--config", str(cfg_file), "--out", str(tmp_path / "o"), "noise"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "config_text, argv",
+        [
+            ("[solver]\ntruncation = nan\n", ["solve"]),
+            ("[solver]\ntruncation = nan\n", ["linear"]),
+            ("[solver]\nmax_iterations = 0\n", ["solve"]),
+            ("[solver]\nsigma = mystery\n", ["solve"]),
+            ("[noise]\ndomain = 1,0\n", ["noise"]),
+            ("[run]\nreplicates = 0\n", ["noise"]),
+            ("[kernel]\nkind = florb\n", ["kernels"]),
+            ("", ["verify", "florb"]),
+        ],
+        ids=["solve-nan", "linear-nan", "solve-max-iterations", "solve-sigma", "noise-domain", "noise-replicates",
+             "kernels-kind", "verify-suite"],
+    )
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, config_text, argv):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config_text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out)] + argv) == 2
+        capsys.readouterr()
+        assert not out.exists()
+
+    def test_solve_without_convergence_is_internal_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[solver]\nmax_iterations = 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_file), "--seed", "3", "--out", str(out), "solve"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["converged"] is False and diag["iterations"] == 1
+        assert not (out / "solution.csv").exists()
+
+    def test_solve_divergence_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def diverging(config, sigma, jumps):
+            diag = PicardDiagnostics(4, [1.0, 2.0, 3.0, 4.0], math.inf, False)
+            raise PicardDivergenceError("successive-iterate distances grew three sweeps in a row", diag)
+
+        monkeypatch.setattr(cli, "picard_solve", diverging)
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "solve"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["converged"] is False and diag["sup_diffs"] == [1.0, 2.0, 3.0, 4.0]
+        assert not (out / "solution.csv").exists()
 
     def test_failed_computation_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def failing(cfg):

@@ -118,6 +118,25 @@ class TestDirichletInterval:
         assert eval_kernel(DIRICHLET, 0.2, 1.0, 0.5) == pytest.approx(0.0, abs=1e-13)
 
 
+class TestPerTimeEvaluation:
+    """`_eval_kernel_per_t` has the bytes of one `eval_kernel` call per t."""
+
+    @pytest.mark.parametrize("spec", [HEAT1, DIRICHLET, CABLE], ids=["heat", "dirichlet", "cable"])
+    def test_equals_one_call_per_t(self, spec):
+        rng = np.random.default_rng(37)
+        # log-uniform t from 1e-4 to 2 spans one to many image shells
+        ts = np.exp(rng.uniform(math.log(1e-4), math.log(2.0), 2000))
+        ys = rng.uniform(0.0, 1.0, (4, 8))
+        batch = kernels._eval_kernel_per_t(spec, ts, 0.3, ys)
+        assert batch.tobytes() == np.stack([eval_kernel(spec, t, 0.3, ys) for t in ts]).tobytes()
+
+    def test_fractional_equals_one_call_per_t(self):
+        spec = KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.7)
+        ts, ys = np.array([0.3, 1.1]), np.array([[0.1, 0.5], [0.6, 0.9]])
+        batch = kernels._eval_kernel_per_t(spec, ts, 0.4, ys)
+        assert batch.tobytes() == np.stack([eval_kernel(spec, t, 0.4, ys) for t in ts]).tobytes()
+
+
 class TestChapmanKolmogorov:
     def test_heat_semigroup(self):
         rng = np.random.default_rng(22)

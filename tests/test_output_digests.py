@@ -149,10 +149,14 @@ def test_integral_path_csv(tmp_path):
 
 DIRICHLET = KernelSpec(KernelKind.HEAT_DIRICHLET_INTERVAL)
 WAVE_UNIT = KernelSpec(KernelKind.WAVE_1D, domain=UNIT)
+HEAT_FREE = KernelSpec(KernelKind.HEAT_FREE)
+CABLE = KernelSpec(KernelKind.CABLE)
 
 LAYER_DIGESTS = {
     "Q.dirichlet": "4acd9a3dcff0b6ab2cb76fd0396827025fea102e3ff25d8a0a97d2712a0bee80",
     "Q.wave": "364f448a9cbdfed56be6e1b1e373eed37cea9d5ef2299f3740f891b3dd429456",
+    "Q.heat_free": "241dd7125f2ac858a102de1f612e85ea903be22e3320cafd96a87bdb331ecf41",
+    "Q.cable": "b9cb38371e4e168cdc073ff8446c8ce81721c83a5569977c99092601a0a2b618",
     # on a quiet realization the full and drifted solves agree to the bit
     "full": "7fc16687d9cab9669bcdba8baac1a57d741dcf49d8059002617f1cbfe0731f91",
     "drifted": "7fc16687d9cab9669bcdba8baac1a57d741dcf49d8059002617f1cbfe0731f91",
@@ -174,7 +178,13 @@ LAYER_DIGESTS = {
 @functools.lru_cache(maxsize=None)
 def quiet_case(label):
     """Config and a quiet alpha = 1.5 realization (no jump above 1 in the window)."""
-    kernel, cutoff, n, seed = {"dirichlet": (DIRICHLET, 0.1, 5, 31), "wave": (WAVE_UNIT, 0.02, 9, 32)}[label]
+    kernel, cutoff, n, seed = {
+        "dirichlet": (DIRICHLET, 0.1, 5, 31),
+        "wave": (WAVE_UNIT, 0.02, 9, 32),
+        # the Dirichlet realization under the free-space kernels
+        "heat_free": (HEAT_FREE, 0.1, 5, 31),
+        "cable": (CABLE, 0.1, 5, 31),
+    }[label]
     noise = NoiseConfig(LevyMeasure.from_beta(1.5, 1.0), 1.0, UNIT, cutoff=cutoff)
     config = SolverConfig(kernel=kernel, noise=noise, truncation=1.0, p=1.9, n_t=n, n_x=n)
     rng = np.random.default_rng(seed)
@@ -188,7 +198,7 @@ def floats(*values):
     return np.array(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("label", ["dirichlet", "wave"])
+@pytest.mark.parametrize("label", ["dirichlet", "wave", "heat_free", "cable"])
 def test_drift_operator(label):
     config, jumps = quiet_case(label)
     Q = _PicardWorkspace(config, truncate(jumps, 1.0)).build_drift_operator()

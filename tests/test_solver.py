@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from levyfield import solver as solver_module
 from levyfield.boxes import Box
 from levyfield.kernels import KernelKind, KernelSpec, eval_kernel, j_p
 from levyfield.noise import (
@@ -21,6 +22,7 @@ from levyfield.solver import (
     LipschitzSigma,
     PicardDivergenceError,
     SolverConfig,
+    _PicardWorkspace,
     glue,
     picard_solve,
     picard_solve_drifted,
@@ -32,6 +34,7 @@ from levyfield.solver import (
 )
 from levyfield.stable import LevyMeasure
 
+from oracles import hat_integrals_scalar
 from test_noise import make_jumps
 
 UNIT = Box.interval(0.0, 1.0)
@@ -100,6 +103,11 @@ class TestSolverConfig:
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             solver_config(tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_at_least_one(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            solver_config(max_iterations=max_iterations)
 
     @pytest.mark.parametrize(
         "kernel,domain",
@@ -331,6 +339,40 @@ class TestDrifted:
             assert full.max_grid_abs_diff(drifted) < 1e-10
             checked += 1
         assert checked >= 3
+
+
+class TestDriftOperator:
+    def test_one_kernel_evaluation_per_row(self, monkeypatch):
+        # a Dirichlet 5x5 drift build evaluates the kernel once per evaluation
+        # point over all its time nodes (one call per time node made 1,200 here)
+        cfg = solver_config(alpha=1.5, beta=1.0, cutoff=0.1, p=1.9, kernel=DIRICHLET, n_t=5, n_x=5)
+        jumps = simulate_jumps(cfg.noise, np.random.default_rng(31))
+        ws = _PicardWorkspace(cfg, jumps)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(None)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eval_kernel", "_eval_kernel_per_t"):
+            if hasattr(solver_module, name):
+                monkeypatch.setattr(solver_module, name, counting(getattr(solver_module, name)))
+        Q = ws.build_drift_operator()
+        assert 0 < len(calls) <= ws.n_eval
+        assert np.all(Q >= 0.0) and Q.any()
+
+    def test_hat_integrals_match_float64_scalar_oracle(self):
+        # Python floats keep the bytes of the np.float64 scalar loop
+        rng = np.random.default_rng(64)
+        chi = np.linspace(0.0, 1.0, 9)
+        for _ in range(20_000):
+            c, r = rng.uniform(-0.2, 1.2), rng.uniform(0.0, 1.2)
+            expected = hat_integrals_scalar(chi, c - r, c + r)
+            got = solver_module._hat_integrals(chi.tolist(), c - r, c + r)
+            assert np.array(got).tobytes() == expected.tobytes()
 
 
 class TestGlue:
