@@ -13,6 +13,14 @@ extended, so runs made with different settings share one file; the
 summary (per workload, trace mode and run length: each side's median and
 quartiles per metric, how many pairs the change read lower, and whether
 the digests agree seed by seed) is recomputed over all runs.
+
+Each pair prints whether the two sides' `digest_round0` agree.  The exit
+status is 1 when a pair of this invocation has different digests or one
+of its runs is not `correct`, so a byte-identity check of a change is
+
+    python scripts/bench.py --parent ../parent --change . \
+        --workloads verify picard compensated kernels --seeds 1 2 \
+        --seconds 1 --trace 0 --out /tmp/identity.json
 """
 
 import argparse
@@ -118,19 +126,26 @@ def main(argv=None):
         if known != digest:
             parser.error(f"{args.out} holds runs of another {side} source ({known[:12]})")
     pair = max((row["pair"] for row in record["runs"]), default=-1) + 1
+    failures = 0
     for workload in args.workloads:
         for seed in args.seeds:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            digests = {}
             for position, side in enumerate(order):
                 row = run_once(roots[side], workload, seed, args.seconds, args.trace)
                 row.update({"pair": pair, "side": side, "position": position})
                 record["runs"].append(row)
+                digests[side] = row.get("digest_round0")
+                failures += row.get("correct") is not True
                 shown = {k: row.get("metrics", {}).get(k) for k in ("wall_s", "op_ms.p50", "peak_rss_mb")}
                 print(f"pair {pair} {workload} seed={seed} {side}: correct={row.get('correct')} {shown}", flush=True)
+            same = digests["parent"] is not None and digests["parent"] == digests["change"]
+            failures += not same
+            print(f"pair {pair} {workload} seed={seed}: digest_round0 {'equal' if same else 'DIFFERS'}", flush=True)
             pair += 1
             record["summary"] = summarize(record["runs"])
             args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -134,6 +134,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def noise_config(self) -> NoiseConfig:
+        # NoiseConfig accepts an empty window; a run needs a positive horizon
+        if not self.noise.horizon > 0:
+            raise ConfigError("horizon must be positive")
         try:
             return NoiseConfig(
                 measure=self.measure(),

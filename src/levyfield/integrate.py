@@ -9,14 +9,13 @@ jumps at or after their evaluation time; violating that raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import Box, SpaceTimeBox
 from .kernels import _gl_on
-from .noise import JumpSet, NoiseConfig, compensator_band, noise_of_box, write_csv
+from .noise import JumpSet, NoiseConfig, _compensation, noise_of_box, write_csv
 
 __all__ = [
     "SimpleProcess",
@@ -202,20 +201,16 @@ def integrate_field(
     subtracted.
     """
     field = _as_field(field)
+    band = _compensation(config.measure, jumps.cutoff, truncation)
     mask = (jumps.times <= t) & box.contains(jumps.locations)
     if truncation is not None:
-        if not truncation > jumps.cutoff:
-            raise ValueError("truncation level must exceed the simulation cutoff")
         mask &= np.abs(jumps.sizes) <= truncation
     total = 0.0
     for i in np.nonzero(mask)[0]:
         loc = jumps.locations[i] if box.dim > 1 else float(jumps.locations[i, 0])
         total += field.evaluate(float(jumps.times[i]), loc, jumps) * float(jumps.sizes[i])
-    if config.measure.alpha > 1:
-        upper = math.inf if truncation is None else truncation
-        band = compensator_band(config.measure, jumps.cutoff, upper).value
-        if band != 0.0:
-            total -= band * field_quadrature(field, jumps, t, box, n_nodes=n_nodes)
+    if band != 0.0:
+        total -= band * field_quadrature(field, jumps, t, box, n_nodes=n_nodes)
     return total
 
 

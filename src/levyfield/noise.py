@@ -133,6 +133,24 @@ def compensator_band(measure: LevyMeasure, lower, upper) -> CompensatorBand:
     return CompensatorBand(lower, upper, value)
 
 
+def _check_level(level, cutoff):
+    # None is no truncation; NaN fails the comparison
+    if level is not None and not level > cutoff:
+        raise ValueError("truncation level must exceed the simulation cutoff")
+
+
+def _compensation(measure: LevyMeasure, cutoff, level=None) -> float:
+    """Drift per unit volume removed from a jump sum truncated at `level`.
+
+    Zero for alpha < 1 (plain sums); otherwise the band integral over
+    (cutoff, level], or (cutoff, inf) for the default `level=None`.
+    """
+    _check_level(level, cutoff)
+    if measure.alpha < 1:
+        return 0.0
+    return compensator_band(measure, cutoff, math.inf if level is None else level).value
+
+
 def _draw_magnitudes(alpha, cutoff, rng, n):
     # inverse cdf of the modulus above the cutoff: cutoff * V**(-1/alpha), V in (0,1]
     v = 1.0 - rng.random(n)
@@ -179,22 +197,17 @@ def noise_of_box(jumps: JumpSet, box: SpaceTimeBox, config: NoiseConfig, level=N
     volume times the band integral over (cutoff, level], where the default
     `level=None` keeps every jump and the band is (cutoff, inf).
     """
-    if level is not None and not level > jumps.cutoff:
-        raise ValueError("truncation level must exceed the simulation cutoff")
+    comp = _compensation(config.measure, jumps.cutoff, level)
     _require_inside_window(jumps, box)
     mask = box.contains(jumps.times, jumps.locations)
     if level is not None:
         mask &= np.abs(jumps.sizes) <= level
-    total = float(jumps.sizes[mask].sum())
-    if config.measure.alpha > 1:
-        total -= box.volume * compensator_band(config.measure, jumps.cutoff, level or math.inf).value
-    return total
+    return float(jumps.sizes[mask].sum()) - box.volume * comp
 
 
 def truncate(jumps: JumpSet, level) -> JumpSet:
     """Retain exactly the jumps with modulus <= level (inclusive boundary)."""
-    if not level > jumps.cutoff:
-        raise ValueError("truncation level must exceed the simulation cutoff")
+    _check_level(level, jumps.cutoff)
     keep = np.abs(jumps.sizes) <= level
     return replace(
         jumps,
@@ -206,8 +219,7 @@ def truncate(jumps: JumpSet, level) -> JumpSet:
 
 def first_large_jump_time(jumps: JumpSet, space: Box, level) -> float:
     """Earliest time a jump with modulus above `level` lands in `space`; inf if none."""
-    if not level > jumps.cutoff:
-        raise ValueError("level must exceed the simulation cutoff")
+    _check_level(level, jumps.cutoff)
     mask = (np.abs(jumps.sizes) > level) & space.contains(jumps.locations)
     if not mask.any():
         return math.inf
@@ -297,10 +309,7 @@ def sample_noise_values(
     """
     a = measure.alpha
     lam = volume * cutoff ** (-a)
-    comp = 0.0
-    if a > 1:
-        upper = math.inf if truncation is None else truncation
-        comp = volume * compensator_band(measure, cutoff, upper).value
+    comp = volume * _compensation(measure, cutoff, truncation)
 
     def run_chunk(r, crng):
         pos = _one_sided_sums(lam * measure.p, a, cutoff, truncation, r, crng)
@@ -316,8 +325,7 @@ def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):
     One draw per replicate over a region of the given space-time volume,
     simulated above `cutoff` (< threshold required).
     """
-    if threshold <= cutoff:
-        raise ValueError("threshold must exceed the cutoff")
+    _check_level(threshold, cutoff)
     a = measure.alpha
     lam = volume * cutoff ** (-a)
 
@@ -339,12 +347,11 @@ def sample_weighted_sums(config: NoiseConfig, weight, n, rng, truncation=None, w
     """
     a = config.measure.alpha
     lam = config.expected_jump_count
-    comp = 0.0
+    comp = _compensation(config.measure, config.cutoff, truncation)
     if a > 1:
         if weight_integral is None:
             raise ValueError("weight_integral is required when alpha > 1")
-        upper = math.inf if truncation is None else truncation
-        comp = compensator_band(config.measure, config.cutoff, upper).value * weight_integral
+        comp *= weight_integral
 
     def run_chunk(r, rng):
         counts = rng.poisson(lam, r)

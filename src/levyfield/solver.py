@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace as _dc_replace
 import numpy as np
 
 from .kernels import KernelKind, KernelSpec, _eval_kernel_per_t, _gl_on, eval_kernel, i_alpha_finite
-from .noise import JumpSet, NoiseConfig, compensator_band, first_large_jump_time, truncate, write_csv
+from .noise import JumpSet, NoiseConfig, _check_level, _compensation, first_large_jump_time, truncate, write_csv
 
 __all__ = [
     "LipschitzSigma",
@@ -132,8 +132,7 @@ class SolverConfig:
         else:
             if not a < self.p <= 2:
                 raise ValueError("exponent must lie in (alpha, 2] for alpha > 1")
-        if self.truncation is not None and not self.truncation > self.noise.cutoff:
-            raise ValueError("truncation level must exceed the noise cutoff")
+        _check_level(self.truncation, self.noise.cutoff)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError("tolerance must be finite and nonnegative")
         if self.max_iterations < 1:
@@ -341,22 +340,6 @@ class _PicardWorkspace:
         )
 
 
-def _band(config: SolverConfig, cutoff, level, tail_drift: bool):
-    """Band coefficient multiplying the drift operator in one sweep.
-
-    Compensation band (cutoff, level], or (cutoff, inf) for `level=None`;
-    the tail drift adds the (level, inf) remainder, which restores the full
-    band exactly.
-    """
-    measure = config.noise.measure
-    if measure.alpha < 1:
-        return 0.0
-    band = compensator_band(measure, cutoff, math.inf if level is None else level).value
-    if tail_drift:
-        band += compensator_band(measure, level, math.inf).value
-    return band
-
-
 def _iterate(ws: _PicardWorkspace, sigma: LipschitzSigma, band_value, config: SolverConfig, start=None):
     u = np.zeros(ws.n_eval) if start is None else start.copy()
     diffs = []
@@ -377,10 +360,13 @@ def _iterate(ws: _PicardWorkspace, sigma: LipschitzSigma, band_value, config: So
 
 def _solve(config: SolverConfig, sigma: LipschitzSigma, jumps: JumpSet, start, tail_drift: bool):
     """Truncate at `config.truncation`, then iterate with the (tail-drifted) band."""
-    level = config.truncation
+    level, measure = config.truncation, config.noise.measure
     work_jumps = jumps if level is None else truncate(jumps, level)
+    band = _compensation(measure, jumps.cutoff, level)
+    if tail_drift:
+        band += _compensation(measure, level)
     ws = _PicardWorkspace(config, work_jumps)
-    u, diag = _iterate(ws, sigma, _band(config, jumps.cutoff, level, tail_drift), config, start=start)
+    u, diag = _iterate(ws, sigma, band, config, start=start)
     return ws.solution_field(u, diag, k_used=level)
 
 
@@ -398,7 +384,7 @@ def solve_linear(kernel: KernelSpec, jumps: JumpSet, config: SolverConfig) -> So
     if kernel != config.kernel:
         raise ValueError("the kernel must be the solver configuration's kernel")
     ws = _PicardWorkspace(config, jumps)
-    u = ws.sweep(np.zeros(ws.n_eval), sigma_one(), _band(config, jumps.cutoff, None, False))
+    u = ws.sweep(np.zeros(ws.n_eval), sigma_one(), _compensation(config.noise.measure, jumps.cutoff))
     return ws.solution_field(u, None)
 
 
@@ -459,8 +445,7 @@ def glue(config: SolverConfig, sigma: LipschitzSigma, jumps: JumpSet, k_ladder) 
         raise ValueError("the truncation ladder must be nonempty")
     if not all(b > a for a, b in zip(levels, levels[1:])):
         raise ValueError("the truncation ladder must strictly increase")
-    if not levels[0] > jumps.cutoff:
-        raise ValueError("ladder levels must exceed the simulation cutoff")
+    _check_level(levels[0], jumps.cutoff)
     horizon = config.noise.horizon
     for level in levels:
         tau = first_large_jump_time(jumps, config.noise.domain, level)

@@ -211,12 +211,13 @@ class TestCommands:
             ("[solver]\nmax_iterations = 0\n", ["solve"]),
             ("[solver]\nsigma = mystery\n", ["solve"]),
             ("[noise]\ndomain = 1,0\n", ["noise"]),
+            ("[noise]\nhorizon = 0\n", ["noise"]),
             ("[run]\nreplicates = 0\n", ["noise"]),
             ("[kernel]\nkind = florb\n", ["kernels"]),
             ("", ["verify", "florb"]),
         ],
-        ids=["solve-nan", "linear-nan", "solve-max-iterations", "solve-sigma", "noise-domain", "noise-replicates",
-             "kernels-kind", "verify-suite"],
+        ids=["solve-nan", "linear-nan", "solve-max-iterations", "solve-sigma", "noise-domain", "noise-horizon",
+             "noise-replicates", "kernels-kind", "verify-suite"],
     )
     def test_usage_error_writes_nothing(self, tmp_path, capsys, config_text, argv):
         cfg_file = tmp_path / "run.cfg"

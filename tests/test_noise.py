@@ -321,6 +321,23 @@ class TestFarmGuard:
             sample_weighted_sums(config, lambda t, x: t, 10, rng, weight_integral=0.5)
 
 
+class TestFarmLevels:
+    @pytest.mark.parametrize("level", [math.nan, 0.01, 0.005])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_truncation_must_exceed_cutoff(self, alpha, level):
+        config = unit_config(alpha=alpha, beta=0.5, cutoff=0.01)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="truncation level must exceed"):
+            sample_noise_values(config.measure, 1.0, 0.01, 10, rng, truncation=level)
+        with pytest.raises(ValueError, match="truncation level must exceed"):
+            sample_weighted_sums(config, lambda t, x: t, 10, rng, truncation=level, weight_integral=0.5)
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.5])
+    def test_flag_threshold_must_exceed_cutoff(self, threshold):
+        with pytest.raises(ValueError, match="must exceed"):
+            sample_large_jump_flags(LevyMeasure.from_beta(0.7, 0.0), 1.0, 0.5, threshold, 10, np.random.default_rng(0))
+
+
 class TestFittedTailConstant:
     def test_stable_across_volumes(self):
         # fitted tail constant sup_lambda lambda^alpha P(|Z_K(B)| > lambda) / |B|

@@ -7,8 +7,8 @@ says so.  The farms run twice: once at the fixed chunk budget, where these
 sizes fit in one chunk, and once with the budget cut so that each farm splits
 into several chunks.  The kernel, drift-operator, solver and quadrature cases
 pin the layers the default CLI config never reaches: the Dirichlet kernel,
-the bounded-domain functionals, the subordinated fractional kernel, glue
-and the alpha > 1 drift.
+the bounded-domain functionals, the subordinated fractional kernel, glue,
+the alpha > 1 drift and the truncated (compensated over (cutoff, K]) paths.
 """
 
 import contextlib
@@ -21,9 +21,16 @@ import numpy as np
 import pytest
 
 from levyfield import noise
-from levyfield.boxes import Box
+from levyfield.boxes import Box, SpaceTimeBox
 from levyfield.cli import main
-from levyfield.integrate import IntegralPath, PredictableField, field_quadrature, integrate_field
+from levyfield.integrate import (
+    IntegralPath,
+    PredictableField,
+    SimpleProcess,
+    field_quadrature,
+    integrate_field,
+    integrate_simple,
+)
 from levyfield.kernels import (
     KernelKind,
     KernelSpec,
@@ -38,13 +45,22 @@ from levyfield.kernels import (
 from levyfield.noise import (
     NoiseConfig,
     first_large_jump_time,
+    noise_of_box,
     sample_large_jump_flags,
     sample_noise_values,
     sample_weighted_sums,
     simulate_jumps,
     truncate,
 )
-from levyfield.solver import SolverConfig, _PicardWorkspace, glue, picard_solve, picard_solve_drifted, sigma_affine
+from levyfield.solver import (
+    SolverConfig,
+    _PicardWorkspace,
+    glue,
+    picard_solve,
+    picard_solve_drifted,
+    sigma_affine,
+    solve_linear,
+)
 from levyfield.stable import LevyMeasure
 
 UNIT = Box.interval(0.0, 1.0)
@@ -66,6 +82,9 @@ FARM_DIGESTS = {
     "noise_chunked": "a3cae5fa452b3a33caf8f8147ce5c29511244d246fef362cd1a4d1c465c704fc",
     "weighted_chunked": "cf5d8df979b8427c782ef550cfdf9f2deffc61842dbe7f7f8d4b5a0082c96fa2",
     "flags_chunked": "236b232fb94678b33f7cfe5d9b11edf49949b02c5a5820277d2c7b6f65a12a55",
+    "noise_truncated.0.5": "3aaceaf1ee3a214db26cf6676d4f64eb63bd630b535d78baafa599bebbfbaf0a",
+    "noise_truncated.1.5": "400a46a174d361ffe1bf5367ff5d9bacb6e9d40d923d9199f983682cea066dfc",
+    "weighted_truncated_2d": "b697d7f19bc5d2d7f615b1beae5961c23ad92cd4e10549006afbd9708cb2b96e",
 }
 
 PATH_DIGEST = "0de4bc8e4abc54cba5dcf3159b092a564dc0f29f72cf12b933d8f4b21c37d1ac"
@@ -108,6 +127,24 @@ class TestFarms:
     def test_large_jump_flags(self):
         flags = sample_large_jump_flags(LevyMeasure.from_beta(0.7, 0.0), 1.0, 0.5, 2.0, 5000, np.random.default_rng(9))
         assert sha256(flags.tobytes()) == FARM_DIGESTS["flags"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_truncated_noise_values(self, alpha, workers):
+        m = LevyMeasure.from_beta(alpha, 0.5)
+        rng = np.random.default_rng(14)
+        values = sample_noise_values(m, 1.0, 0.01, 3000, rng, truncation=1.0, workers=workers)
+        assert sha256(values.tobytes() + floats(rng.random())) == FARM_DIGESTS[f"noise_truncated.{alpha}"]
+
+    def test_truncated_weighted_sums_two_dim(self):
+        window = NoiseConfig(LevyMeasure.from_beta(1.5, 0.5), 1.0, Box((0.0, 0.0), (1.0, 1.0)), cutoff=0.05)
+        rng = np.random.default_rng(15)
+
+        def weight(times, locs):
+            return 1.0 + times * locs[:, 0] - locs[:, 1]
+
+        values = sample_weighted_sums(window, weight, 2000, rng, truncation=1.0, weight_integral=0.75)
+        assert sha256(values.tobytes() + floats(rng.random())) == FARM_DIGESTS["weighted_truncated_2d"]
 
 
 class TestChunkedFarms:
@@ -172,6 +209,9 @@ LAYER_DIGESTS = {
     "eval.0.5": "bffd5d3297f49bd79489f1adbbbdf6c4f1edf7f4a6d5d3b55f918263b31e7e18",
     "functionals.fractional": "0ace7f112a23417056dfef75fd0c9a98b7e72c8ffd02750e1e2d7cd03e26f499",
     "glue": "f3a1f33ead3babee6cc40a0c25aae9bacb8472489e97b2fc7fd8520dfb647112",
+    "box_values_truncated": "ab0fbeff5e4527d85e08b00bb72d971675c2802e44b08b0022c0c79d4510eee7",
+    "simple_integrals_truncated": "31af6e621c68686fa426301615c8e4db171417e9dd2eca4e35cc137efd08d338",
+    "linear": "58a5f7e736a8e08a684eb4892f642656c9138e4d025bb6196081bfc1175c906a",
 }
 
 
@@ -285,3 +325,32 @@ def test_glue_dirichlet():
     assert result.resolved
     payload = floats(result.k_used) + result.field.eval_vector().tobytes()
     assert sha256(payload) == LAYER_DIGESTS["glue"]
+
+
+def truncated_case():
+    config = NoiseConfig(LevyMeasure.from_beta(1.5, 0.5), 1.0, UNIT, cutoff=0.05)
+    jumps = simulate_jumps(config, np.random.default_rng(40))
+    # both levels below remove a jump
+    assert np.abs(jumps.sizes).max() > 4.0
+    return config, jumps
+
+
+def test_truncated_box_values():
+    config, jumps = truncated_case()
+    boxes = [SpaceTimeBox(0.0, 1.0, UNIT), SpaceTimeBox(0.2, 0.7, Box.interval(0.1, 0.6))]
+    values = [noise_of_box(jumps, box, config, level=level) for box in boxes for level in (None, 1.0, 4.0)]
+    assert sha256(floats(*values)) == LAYER_DIGESTS["box_values_truncated"]
+
+
+def test_truncated_simple_integrals():
+    config, jumps = truncated_case()
+    halves = [Box.interval(0.0, 0.5), Box.interval(0.5, 1.0)]
+    process = SimpleProcess([0.0, 0.4, 1.0], [[(halves[0], 2.0), (halves[1], -1.0)], [(UNIT, 0.5)]])
+    values = [integrate_simple(process, jumps, t, UNIT, config, truncation=k) for t in (0.7, 1.0) for k in (1.0, 4.0)]
+    assert sha256(floats(*values)) == LAYER_DIGESTS["simple_integrals_truncated"]
+
+
+def test_solve_linear_compensated():
+    config, jumps = quiet_case("dirichlet")
+    solution = solve_linear(DIRICHLET, jumps, config)
+    assert sha256(solution.eval_vector().tobytes()) == LAYER_DIGESTS["linear"]
