@@ -18,9 +18,9 @@ from . import __version__
 from .boxes import Box, SpaceTimeBox
 from .config import ConfigError, RunConfig, load_config
 from .kernels import eval_kernel, i_alpha, j_p
-from .noise import noise_of_box, save_jumps_csv, simulate_jumps, write_csv
+from .noise import _check_exponent, noise_of_box, save_jumps_csv, simulate_jumps, write_csv
 from .solver import PicardDivergenceError, picard_solve, picard_solve_drifted, solve_linear
-from .verify import NEGATIVE_CONTROLS, SUITES, run_suite
+from .verify import MIN_CF_SAMPLES, NEGATIVE_CONTROLS, SUITES, run_suite
 
 USAGE_ERROR = 2
 SUITE_FAILURE = 1
@@ -148,6 +148,13 @@ def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    if "moment" in names:
+        try:
+            _check_exponent(cfg.noise.alpha, cfg.solver.p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if "ecf" in names and 0 < cfg.verify.replicates < MIN_CF_SAMPLES:
+        raise ConfigError(f"the ecf suite needs at least {MIN_CF_SAMPLES} replicates")
     out = _prepare_out(cfg)
     all_passed = True
     for name in names:
@@ -159,9 +166,7 @@ def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
         if cfg.verify.negative_control:
             kwargs.update(NEGATIVE_CONTROLS[name])
         if name == "moment":
-            kwargs.setdefault("p", cfg.solver.p)
-            kwargs.setdefault("volume", 0.01)
-            kwargs.setdefault("cutoff", 1e-4 if cfg.noise.alpha < 1 else 1e-3)
+            kwargs["p"] = cfg.solver.p
         report = run_suite(name, **kwargs)
         (out / f"report_{name}.json").write_text(report.to_json(), encoding="utf-8")
         print("\n".join(report.summary_lines()))
@@ -205,9 +210,10 @@ def main(argv=None) -> int:
         for key in ("seed", "out", "replicates", "threads"):
             if getattr(args, key) is not None:
                 setattr(cfg.run, key, getattr(args, key))
-        if getattr(args, "negative_control", False):
-            cfg.verify.negative_control = True
         if args.command == "verify":
+            cfg.verify.negative_control |= args.negative_control
+            if args.replicates is not None:  # for verify, the suites' replicate count
+                cfg.verify.replicates = args.replicates
             return cmd_verify(cfg, args.suite)
         return COMMANDS[args.command](cfg)
     except (OSError, ConfigError) as exc:

@@ -122,16 +122,7 @@ class RunConfig:
                 raise ConfigError(f"domain axis '{part}' must be 'lo,hi'")
             lows.append(float(bounds[0]))
             highs.append(float(bounds[1]))
-        try:
-            return Box(tuple(lows), tuple(highs))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def measure(self) -> LevyMeasure:
-        try:
-            return LevyMeasure.from_beta(self.noise.alpha, self.noise.beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return Box(tuple(lows), tuple(highs))
 
     def noise_config(self) -> NoiseConfig:
         # NoiseConfig accepts an empty window; a run needs a positive horizon
@@ -139,7 +130,7 @@ class RunConfig:
             raise ConfigError("horizon must be positive")
         try:
             return NoiseConfig(
-                measure=self.measure(),
+                measure=LevyMeasure.from_beta(self.noise.alpha, self.noise.beta),
                 horizon=self.noise.horizon,
                 domain=self.domain_box(),
                 cutoff=self.noise.cutoff,
@@ -155,10 +146,10 @@ class RunConfig:
             names = ", ".join(k.value for k in KernelKind)
             raise ConfigError(f"unknown kernel kind '{self.kernel.kind}'; one of: {names}") from exc
         gamma = self.kernel.gamma if kind is KernelKind.FRACTIONAL_HEAT else None
-        domain = self.domain_box() if self.kernel.bounded else None
-        if kind is KernelKind.HEAT_DIRICHLET_INTERVAL:
-            domain = Box.interval(0.0, 1.0)
         try:
+            domain = self.domain_box() if self.kernel.bounded else None
+            if kind is KernelKind.HEAT_DIRICHLET_INTERVAL:
+                domain = Box.interval(0.0, 1.0)
             return KernelSpec(kind=kind, dim=self.kernel.dim, gamma=gamma, domain=domain)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

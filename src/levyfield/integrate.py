@@ -214,12 +214,12 @@ def integrate_field(
     return total
 
 
-def lp_norm(field, p, horizon, box: Box, n_nodes=32):
+def lp_norm(field, p, horizon, box: Box):
     """Quadrature value of (int |X|^p)^(1/p) on (0,T] x box for a deterministic field."""
     if not 0.0 < p <= 2.0:
         raise ValueError("p must lie in (0, 2]")
     jumps = JumpSet(np.empty(0), np.empty((0, box.dim)), np.empty(0), float(horizon), box, 1.0)
-    return field_quadrature(field, jumps, horizon, box, n_nodes=n_nodes, power=p) ** (1.0 / p)
+    return field_quadrature(field, jumps, horizon, box, power=p) ** (1.0 / p)
 
 
 @dataclass

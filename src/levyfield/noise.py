@@ -139,14 +139,21 @@ def _check_level(level, cutoff):
         raise ValueError("truncation level must exceed the simulation cutoff")
 
 
+def _check_exponent(alpha, p):
+    # the moment window of the truncated-noise estimates; NaN fails it
+    if not (alpha < p < 1 if alpha < 1 else alpha < p <= 2):
+        raise ValueError("moment exponent must lie in (alpha, 1) for alpha < 1 and in (alpha, 2] for alpha > 1")
+
+
 def _compensation(measure: LevyMeasure, cutoff, level=None) -> float:
     """Drift per unit volume removed from a jump sum truncated at `level`.
 
-    Zero for alpha < 1 (plain sums); otherwise the band integral over
-    (cutoff, level], or (cutoff, inf) for the default `level=None`.
+    Zero for alpha < 1 (plain sums) and for an infinite cutoff (an empty
+    band); otherwise the band integral over (cutoff, level], or (cutoff, inf)
+    for the default `level=None`.
     """
     _check_level(level, cutoff)
-    if measure.alpha < 1:
+    if measure.alpha < 1 or cutoff == math.inf:
         return 0.0
     return compensator_band(measure, cutoff, math.inf if level is None else level).value
 
@@ -296,7 +303,6 @@ def sample_noise_values(
     n,
     rng,
     truncation=None,
-    count_guard=DEFAULT_COUNT_GUARD,
     workers=1,
 ):
     """Draw `n` independent box noise values for a region of given volume.
@@ -316,7 +322,7 @@ def sample_noise_values(
         neg = _one_sided_sums(lam * measure.q, a, cutoff, truncation, r, crng)
         return pos - neg
 
-    return _farm(n, lam, count_guard, run_chunk, rng, workers=workers) - comp
+    return _farm(n, lam, DEFAULT_COUNT_GUARD, run_chunk, rng, workers=workers) - comp
 
 
 def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):

@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass, replace as _dc_replace
 import numpy as np
 
 from .kernels import KernelKind, KernelSpec, _eval_kernel_per_t, _gl_on, eval_kernel, i_alpha_finite
-from .noise import JumpSet, NoiseConfig, _check_level, _compensation, first_large_jump_time, truncate, write_csv
+from .noise import (
+    JumpSet, NoiseConfig, _check_exponent, _check_level, _compensation, first_large_jump_time, truncate, write_csv
+)
 
 __all__ = [
     "LipschitzSigma",
@@ -125,13 +127,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.kernel.dim != self.noise.domain.dim:
             raise ValueError("kernel dimension must match the noise domain dimension")
-        a = self.noise.measure.alpha
-        if a < 1:
-            if not a < self.p < 1:
-                raise ValueError("exponent must lie in (alpha, 1) for alpha < 1")
-        else:
-            if not a < self.p <= 2:
-                raise ValueError("exponent must lie in (alpha, 2] for alpha > 1")
+        _check_exponent(self.noise.measure.alpha, self.p)
         _check_level(self.truncation, self.noise.cutoff)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError("tolerance must be finite and nonnegative")
@@ -410,7 +406,6 @@ def picard_solve_drifted(
     config: SolverConfig,
     sigma: LipschitzSigma,
     jumps: JumpSet,
-    start=None,
 ) -> SolutionField:
     """Solve the truncated equation with the explicit tail-drift term.
 
@@ -423,7 +418,7 @@ def picard_solve_drifted(
         raise ValueError("the drifted equation applies to alpha > 1 only")
     if config.truncation is None:
         raise ValueError("the drifted equation needs a truncation level")
-    return _solve(config, sigma, jumps, start, tail_drift=True)
+    return _solve(config, sigma, jumps, None, tail_drift=True)
 
 
 @dataclass

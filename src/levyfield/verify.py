@@ -20,6 +20,7 @@ from .boxes import Box
 from .integrate import PredictableField, integrate_field
 from .noise import (
     NoiseConfig,
+    _check_exponent,
     sample_large_jump_flags,
     sample_noise_values,
     simulate_jumps,
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_U_GRID = np.linspace(-5.0, 5.0, 101)
+MIN_CF_SAMPLES = 10_000
 
 
 @dataclass
@@ -117,7 +119,7 @@ def ecf_sup_distance(samples, params: StableParams, u_grid=DEFAULT_U_GRID):
     return float(np.abs(ecf(samples, u_grid) - stable_cf(params, u_grid)).max())
 
 
-def ecf_test(samples, params: StableParams, u_grid=DEFAULT_U_GRID, name="ecf") -> Assertion:
+def ecf_test(samples, params: StableParams, name="ecf") -> Assertion:
     """Sup-distance comparison of an empirical cf against a stable cf.
 
     Threshold 0.02 at 1e5 samples, scaled like n**(-1/2); at least 1e4
@@ -125,11 +127,11 @@ def ecf_test(samples, params: StableParams, u_grid=DEFAULT_U_GRID, name="ecf") -
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
-    if n < 10_000:
-        raise ValueError("at least 1e4 samples required for the cf comparison")
+    if n < MIN_CF_SAMPLES:
+        raise ValueError(f"at least {MIN_CF_SAMPLES} samples required for the cf comparison")
     if float(samples.min()) == float(samples.max()):
         raise ValueError("degenerate sample: all values equal")
-    dist = ecf_sup_distance(samples, params, u_grid)
+    dist = ecf_sup_distance(samples, params)
     threshold = 0.02 * math.sqrt(100_000.0 / n)
     return Assertion(name, dist, threshold, 1.0 / math.sqrt(n), dist < threshold, "cf oracle")
 
@@ -148,14 +150,12 @@ def box_law(measure: LevyMeasure, volume) -> StableParams:
 def ecf_suite(
     alpha=0.5,
     beta=0.0,
-    volume=1.0,
-    cutoff=1e-3,
     replicates=100_000,
     seed=1,
     alpha_perturbation=0.0,
     workers=1,
 ) -> TestReport:
-    """Box noise values against the stable law they must follow.
+    """Unit-volume box values (cutoff 1e-3) against the stable law they must follow.
 
     `alpha_perturbation` shifts the reference law's stability index; the
     suite must fail under the built-in +0.3 control.
@@ -164,14 +164,9 @@ def ecf_suite(
     report = TestReport("ecf", seed, replicates)
     measure = LevyMeasure.from_beta(alpha, beta)
     rng = np.random.default_rng(seed)
-    values = sample_noise_values(measure, volume, cutoff, replicates, rng, workers=workers)
+    values = sample_noise_values(measure, 1.0, 1e-3, replicates, rng, workers=workers)
     ref_alpha = alpha + alpha_perturbation
-    ref = StableParams(
-        ref_alpha,
-        (sigma_alpha_pow(ref_alpha) * volume) ** (1.0 / ref_alpha),
-        beta,
-        0.0,
-    )
+    ref = StableParams(ref_alpha, sigma_alpha_pow(ref_alpha) ** (1.0 / ref_alpha), beta, 0.0)
     # the 0.03 floor absorbs the documented sub-cutoff bias; below 1e5
     # replicates the threshold widens with the Monte-Carlo error
     threshold = 0.03 * max(1.0, math.sqrt(100_000.0 / replicates))
@@ -185,8 +180,8 @@ def ecf_suite(
         "jump-built law vs stable cf",
     )
     # oracle self-consistency: exact sampler against its own cf
-    oracle = sample_stable(box_law(measure, volume), rng, replicates)
-    report.entries.append(ecf_test(oracle, box_law(measure, volume), name="oracle self-test"))
+    oracle = sample_stable(box_law(measure, 1.0), rng, replicates)
+    report.entries.append(ecf_test(oracle, box_law(measure, 1.0), name="oracle self-test"))
     report.wall_time = time.time() - t0
     return report
 
@@ -207,14 +202,12 @@ def _sup_tail_statistic(values, alpha, lam_grid):
 def tail_bound_suite(
     alpha=0.5,
     beta=0.0,
-    truncation=1.0,
-    cutoff=1e-3,
     replicates=100_000,
     seed=2,
     alpha_perturbation=0.0,
     workers=1,
 ) -> TestReport:
-    """Tail statistics of truncated box values and weighted stable sums.
+    """Tail statistics of box values truncated at K = 1 and of weighted stable sums.
 
     Checks volume linearity of the sup tail statistic, the 1/u large-
     deviation envelope above the truncation level (alpha < 1), and the
@@ -233,16 +226,16 @@ def tail_bound_suite(
     measure = LevyMeasure.from_beta(alpha, beta)
     rng = np.random.default_rng(seed)
     if alpha < 1:
-        lam_grid = truncation * np.array([0.25, 0.5, 1.0])
+        lam_grid = np.array([0.25, 0.5, 1.0])
         volumes = (0.004, 0.008, 0.016)
     else:
-        lam_grid = truncation * np.array([0.5, 0.75, 1.0])
+        lam_grid = np.array([0.5, 0.75, 1.0])
         volumes = (0.0005, 0.001, 0.002)
 
     ref_volume = volumes[-1]
     stats = {}
     for v in volumes:
-        vals = sample_noise_values(measure, v, cutoff, replicates, rng, truncation=truncation, workers=workers)
+        vals = sample_noise_values(measure, v, 1e-3, replicates, rng, truncation=1.0, workers=workers)
         stats[v] = _sup_tail_statistic(vals, alpha, lam_grid)
     s_ref, se_ref = stats[ref_volume]
     for v in volumes[:-1]:
@@ -259,19 +252,16 @@ def tail_bound_suite(
         )
 
     if alpha < 1:
-        # the 1/u regime needs visible exceedances, so it runs on unit volume
-        ld_volume = 1.0
-        ld_vals = sample_noise_values(
-            measure, ld_volume, cutoff, replicates, rng, truncation=truncation, workers=workers
-        )
-        envelope = alpha / (1.0 - alpha) * truncation ** (1.0 - alpha) * ld_volume
-        for mult in (2.0, 4.0, 8.0):
-            u = mult * truncation
+        # the 1/u regime needs visible exceedances, so it runs on unit volume,
+        # where the envelope is alpha/(1-alpha) * K**(1-alpha) * volume
+        ld_vals = sample_noise_values(measure, 1.0, 1e-3, replicates, rng, truncation=1.0, workers=workers)
+        envelope = alpha / (1.0 - alpha)
+        for u in (2.0, 4.0, 8.0):
             p_hat = float((np.abs(ld_vals) > u).mean())
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / replicates) * u
             stat = p_hat * u
             report.add(
-                f"large-deviation u={mult}K",
+                f"large-deviation u={u}K",
                 stat,
                 envelope * (1.0 + 3.0 * se / max(envelope, 1e-12)),
                 se,
@@ -307,9 +297,6 @@ def moment_scaling_suite(
     alpha=0.5,
     p=0.75,
     beta=0.0,
-    k_grid=(1.0, 2.0, 4.0, 8.0),
-    volume=1.0,
-    cutoff=1e-3,
     replicates=100_000,
     seed=3,
     slope_offset=0.0,
@@ -317,19 +304,21 @@ def moment_scaling_suite(
 ) -> TestReport:
     """Log-log slope of the truncated p-th moment against the level K.
 
-    The slope must equal p - alpha within 0.1.  The perturbation shifts the
-    target slope by +0.3.
+    Box values of volume 0.01 above cutoff 1e-4 (alpha < 1) or 1e-3, truncated
+    at K = 1, 2, 4, 8.  The slope must equal p - alpha within 0.1.  The
+    perturbation shifts the target slope by +0.3.
     """
     t0 = time.time()
-    if not (alpha < p and (p < 1 or (alpha > 1 and p <= 2))):
-        raise ValueError("exponent must exceed alpha and stay in the valid window")
+    _check_exponent(alpha, p)
+    k_grid = (1.0, 2.0, 4.0, 8.0)
+    cutoff = 1e-4 if alpha < 1 else 1e-3
     report = TestReport("moment", seed, replicates)
     measure = LevyMeasure.from_beta(alpha, beta)
     rng = np.random.default_rng(seed)
     logs = []
     ses = []
     for k in k_grid:
-        vals = sample_noise_values(measure, volume, cutoff, replicates, rng, truncation=k, workers=workers)
+        vals = sample_noise_values(measure, 0.01, cutoff, replicates, rng, truncation=k, workers=workers)
         powers = np.abs(vals) ** p
         mean = float(powers.mean())
         logs.append(math.log(mean))
@@ -355,30 +344,27 @@ def survival_suite(
     alpha=0.5,
     beta=0.0,
     k_grid=(1.0, 2.0, 4.0),
-    horizon=1.0,
-    volume=1.0,
-    cutoff=None,
     replicates=10_000,
     seed=4,
     alpha_perturbation=0.0,
 ) -> TestReport:
     """No-oversized-jump probability against its exponential formula.
 
-    P(no jump of modulus > K in the window) = exp(-T |O| K^(-alpha)),
-    within three binomial standard errors per level.  The perturbation
-    corrupts alpha in the reference formula (levels K > 1 give it power).
+    In a window of unit space-time volume, simulated above 0.9 min(k_grid),
+    P(no jump of modulus > K) = exp(-K^(-alpha)), within three binomial
+    standard errors per level.  The perturbation corrupts alpha in the
+    reference formula (levels K > 1 give it power).
     """
     t0 = time.time()
     report = TestReport("survival", seed, replicates)
     measure = LevyMeasure.from_beta(alpha, beta)
     rng = np.random.default_rng(seed)
-    if cutoff is None:
-        cutoff = 0.9 * min(k_grid)
+    cutoff = 0.9 * min(k_grid)
     ref_alpha = alpha + alpha_perturbation
     for k in k_grid:
-        flags = sample_large_jump_flags(measure, horizon * volume, cutoff, k, replicates, rng)
+        flags = sample_large_jump_flags(measure, 1.0, cutoff, k, replicates, rng)
         p_hat = float((~flags).mean())
-        target = math.exp(-horizon * volume * k ** (-ref_alpha))
+        target = math.exp(-(k ** (-ref_alpha)))
         se = math.sqrt(max(target * (1 - target), 1e-12) / replicates)
         report.add(
             f"survival K={k}",
@@ -395,9 +381,6 @@ def survival_suite(
 def local_property_suite(
     alpha=0.5,
     beta=0.0,
-    horizon=1.0,
-    cutoff=None,
-    truncation=1.0,
     replicates=200,
     seed=5,
     corrupt=False,
@@ -405,19 +388,17 @@ def local_property_suite(
     """Exact zero integrals on realizations where the integrand vanishes.
 
     The integrand is a deterministic profile masked to zero whenever the
-    realization has fewer than three jumps (a window-measurable
-    predicate).  On every masked realization both the full and the truncated
-    integrals must be exactly zero.  `corrupt=True` drops the mask, which
-    must break the suite.
+    realization on (0, 1] x (0, 1) has fewer than three jumps (a
+    window-measurable predicate).  On every masked realization both the full
+    and the K = 1 truncated integrals must be exactly zero.  `corrupt=True`
+    drops the mask, which must break the suite.
     """
     t0 = time.time()
     report = TestReport("local", seed, replicates)
     measure = LevyMeasure.from_beta(alpha, beta)
     domain = Box.interval(0.0, 1.0)
-    if cutoff is None:
-        # aim for about two jumps per window so the sparse predicate fires
-        cutoff = min(0.5 * truncation, 2.0 ** (-1.0 / alpha))
-    config = NoiseConfig(measure, horizon, domain, cutoff=cutoff)
+    # aim for about two jumps per window so the sparse predicate fires
+    config = NoiseConfig(measure, 1.0, domain, cutoff=min(0.5, 2.0 ** (-1.0 / alpha)))
     rng = np.random.default_rng(seed)
     masked_hits = 0
     masked_nonzero = 0
@@ -432,8 +413,8 @@ def local_property_suite(
         else:
             rule = lambda t, x, hist: 0.0
         profile = PredictableField(rule, name="masked-profile")
-        full = integrate_field(profile, jumps, horizon, domain, config)
-        trunc = integrate_field(profile, jumps, horizon, domain, config, truncation=truncation)
+        full = integrate_field(profile, jumps, 1.0, domain, config)
+        trunc = integrate_field(profile, jumps, 1.0, domain, config, truncation=1.0)
         if full != 0.0:
             masked_nonzero += 1
         if trunc != 0.0:

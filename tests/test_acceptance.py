@@ -149,12 +149,8 @@ def test_criterion_04_survival_law():
 
 def test_criterion_05_moment_scaling():
     """Truncated p-th moments scale like K^(p - alpha), slope within 0.1."""
-    r1 = moment_scaling_suite(
-        alpha=0.5, p=0.75, volume=0.01, cutoff=1e-4, replicates=100_000, seed=1005, workers=WORKERS
-    )
-    r2 = moment_scaling_suite(
-        alpha=1.5, p=1.9, volume=0.01, cutoff=1e-3, replicates=100_000, seed=1005, workers=WORKERS
-    )
+    r1 = moment_scaling_suite(alpha=0.5, p=0.75, replicates=100_000, seed=1005, workers=WORKERS)
+    r2 = moment_scaling_suite(alpha=1.5, p=1.9, replicates=100_000, seed=1005, workers=WORKERS)
     ok = r1.passed and r2.passed
     detail = "; ".join(
         f"a={r.entries[0].name.split('=')[1].split()[0]} slope={r.entries[0].statistic:.3f}" for r in (r1, r2)
@@ -292,7 +288,7 @@ def test_criterion_11_negative_controls():
     controls = {
         "ecf": dict(alpha_perturbation=0.3, replicates=20_000),
         "tail": dict(alpha_perturbation=0.3, replicates=50_000),
-        "moment": dict(slope_offset=0.3, volume=0.01, cutoff=1e-4, replicates=50_000),
+        "moment": dict(slope_offset=0.3, replicates=50_000),
         "survival": dict(alpha_perturbation=0.3, replicates=10_000),
         "local": dict(corrupt=True),
     }

@@ -185,6 +185,12 @@ class TestCommands:
         capsys.readouterr()
         assert code == 1
 
+    def test_replicates_flag_reaches_verify(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--replicates", "20000", "--out", str(out), "verify", "survival"]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "report_survival.json").read_text())["replicates"] == 20000
+
     def test_verify_unknown_suite_usage_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "verify", "florb"])
         captured = capsys.readouterr()
@@ -215,9 +221,11 @@ class TestCommands:
             ("[run]\nreplicates = 0\n", ["noise"]),
             ("[kernel]\nkind = florb\n", ["kernels"]),
             ("", ["verify", "florb"]),
+            ("[noise]\nalpha = 1.5\n", ["verify", "moment"]),
+            ("[verify]\nreplicates = 5000\n", ["verify", "ecf"]),
         ],
         ids=["solve-nan", "linear-nan", "solve-max-iterations", "solve-sigma", "noise-domain", "noise-horizon",
-             "noise-replicates", "kernels-kind", "verify-suite"],
+             "noise-replicates", "kernels-kind", "verify-suite", "verify-moment-exponent", "verify-ecf-replicates"],
     )
     def test_usage_error_writes_nothing(self, tmp_path, capsys, config_text, argv):
         cfg_file = tmp_path / "run.cfg"

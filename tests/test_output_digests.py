@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -111,6 +112,51 @@ def test_cli_files_on_default_config(tmp_path, command):
     for (cmd, name), digest in CLI_DIGESTS.items():
         if cmd == command:
             assert sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+# canonical `verify` reports (wall time dropped) through the CLI; the local
+# suite keeps its default 200 realizations, because 20,000 at alpha = 1.5 cost
+# some 30 times more than all the other cases together
+VERIFY_REPLICATES = "[verify]\nreplicates = 20000\n"
+ALPHA15 = "[noise]\nalpha = 1.5\nbeta = 0.3\n[solver]\np = 1.9\n"
+SUITE_CASES = {
+    "ecf.0.5": ("ecf", VERIFY_REPLICATES, [], 0),
+    "tail.0.5": ("tail", VERIFY_REPLICATES, [], 0),
+    "moment.0.5": ("moment", VERIFY_REPLICATES, [], 0),
+    "survival.0.5": ("survival", VERIFY_REPLICATES, [], 0),
+    "local.0.5": ("local", "", [], 0),
+    "tail.1.5": ("tail", VERIFY_REPLICATES + ALPHA15, [], 0),
+    "moment.1.5": ("moment", VERIFY_REPLICATES + ALPHA15, [], 0),
+    "survival.1.5": ("survival", VERIFY_REPLICATES + ALPHA15, [], 0),
+    "local.1.5": ("local", ALPHA15, [], 0),
+    "ecf.0.5.control": ("ecf", VERIFY_REPLICATES, ["--negative-control"], 1),
+}
+
+SUITE_DIGESTS = {
+    "ecf.0.5": "b0dfe1538c691f56c82639d8026c28fdba96f5f7de9420610441d1e2595a843a",
+    "ecf.0.5.control": "79b6f439e3807215a37dd92943b8db224dbf3ea7039c6ca44d280e90ee51525f",
+    "local.0.5": "08064dd913763819cb3e4ba865975a440cba24f49d0eb2c4c6b4bf446bcacce4",
+    "local.1.5": "fe8b6c72ae17712a103370ebea7297ec84086054c7864b58a0f3d9916025b9ec",
+    "moment.0.5": "4c9a869745a779c39c199f9e9713fea321cdf9fd10e3ce4d934a674fd22d3167",
+    "moment.1.5": "7f1fbae47c23be29f490c428d2bdedc88fb9ae08579b01f402e880d7e916348c",
+    "survival.0.5": "2761d6ab65c64d4039d39ff14234f86a3812801292f60128acd39b84ba01159f",
+    "survival.1.5": "97e941f9878e66b9f2e3177920cfc4f35f274abd6353a520dfdc157572a34752",
+    "tail.0.5": "bfdb105323b081fc44a525cd4f1e08bf8b87f6c84be342435c463c47fa309d62",
+    "tail.1.5": "f39c342d26b31f44cd47c8bcd839e08c6093ef3f83e613e69858d158ea830958",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_CASES))
+def test_verify_reports(tmp_path, case):
+    suite, config_text, extra, code = SUITE_CASES[case]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config_text, encoding="utf-8")
+    argv = ["--config", str(cfg_file), "--out", str(tmp_path / "out"), "verify", suite] + extra
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == code
+    payload = json.loads((tmp_path / "out" / f"report_{suite}.json").read_text(encoding="utf-8"))
+    payload.pop("wall_time_s")
+    assert sha256(json.dumps(payload, sort_keys=True).encode()) == SUITE_DIGESTS[case]
 
 
 class TestFarms:

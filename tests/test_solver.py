@@ -423,6 +423,17 @@ class TestGlue:
         with pytest.raises(ValueError):
             glue(cfg, sigma_one(), jumps, [4.0, 1.0])
 
+    def test_infinite_level_is_the_full_noise(self):
+        # at alpha > 1 the ladder's last level inf drifts over the empty band (inf, inf]
+        cfg = solver_config(alpha=1.5, beta=1.0, cutoff=0.1, p=1.9, n_t=9, n_x=9)
+        jumps = simulate_jumps(cfg.noise, np.random.default_rng(63))
+        assert np.abs(jumps.sizes).max() > 0.2
+        sig = sigma_affine(1.0, 1.0)
+        result = glue(cfg, sig, jumps, [0.2, math.inf])
+        assert result.resolved and result.k_used == math.inf
+        full = picard_solve(dataclasses.replace(cfg, truncation=None), sig, jumps)
+        assert result.field.max_grid_abs_diff(full) == 0.0
+
     def test_resolution_fraction_matches_survival_law(self):
         cfg = solver_config(cutoff=0.9)
         rng = np.random.default_rng(62)

@@ -59,10 +59,13 @@ class TestSuitePasses:
         assert report.passed
 
     def test_moment_suite(self):
-        report = moment_scaling_suite(
-            alpha=0.5, p=0.75, volume=0.01, cutoff=1e-4, seed=3, replicates=50_000
-        )
+        report = moment_scaling_suite(alpha=0.5, p=0.75, seed=3, replicates=50_000)
         assert report.passed
+
+    @pytest.mark.parametrize("alpha, p", [(0.5, 0.4), (0.5, 1.0), (1.5, 1.2), (1.5, 2.1), (0.5, float("nan"))])
+    def test_moment_suite_rejects_exponent_outside_window(self, alpha, p):
+        with pytest.raises(ValueError, match="moment exponent"):
+            moment_scaling_suite(alpha=alpha, p=p)
 
     def test_survival_suite(self):
         report = survival_suite(alpha=1.5, seed=4, replicates=10_000)
@@ -86,7 +89,7 @@ class TestNegativeControls:
         controls = {
             "ecf": dict(alpha_perturbation=0.3, **FAST),
             "tail": dict(alpha_perturbation=0.3, replicates=50_000),
-            "moment": dict(slope_offset=0.3, volume=0.01, cutoff=1e-4, replicates=50_000),
+            "moment": dict(slope_offset=0.3, replicates=50_000),
             "survival": dict(alpha_perturbation=0.3, replicates=10_000),
             "local": dict(corrupt=True),
         }
