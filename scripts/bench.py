@@ -21,14 +21,28 @@ of its runs is not `correct`, so a byte-identity check of a change is
     python scripts/bench.py --parent ../parent --change . \
         --workloads verify picard compensated kernels --seeds 1 2 \
         --seconds 1 --trace 0 --out /tmp/identity.json
+
+With `--tests NODEID ...` the pairs run the tier-1 tests instead:
+`pytest -q -p no:cacheprovider --durations=0` on the given node ids, with
+`src/` of the side on PYTHONPATH, once per side for each of `--pairs`
+pairs, the sides alternating.  Each run records the suite wall time
+(`wall_s`) and each test's call time (`call_s:<node id>`); a run is
+`correct` when pytest exits 0.
+
+    python scripts/bench.py --parent ../parent --change . --pairs 3 \
+        --tests tests/test_acceptance.py::test_criterion_01_box_noise_stable_law \
+        --out BENCH_14.json
 """
 
 import argparse
 import hashlib
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -67,6 +81,30 @@ def run_once(root, workload, seed, seconds, trace):
     return row
 
 
+DURATION = re.compile(r"^([0-9.]+)s call\s+(\S+)$")
+
+
+def run_tests(root, node_ids):
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0", *node_ids]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    wall = time.perf_counter() - start
+    metrics = {"wall_s": wall}
+    for line in done.stdout.splitlines():
+        match = DURATION.match(line.strip())
+        if match:
+            metrics[f"call_s:{match.group(2)}"] = float(match.group(1))
+    return {"tests": list(node_ids), "exit_code": done.returncode, "correct": done.returncode == 0,
+            "metrics": metrics, "summary_line": (done.stdout.strip().splitlines() or [""])[-1]}
+
+
+def group_key(row):
+    if "tests" in row:
+        return "pytest/" + " ".join(row["tests"])
+    return f"{row['workload']}/trace{row['trace']}/{row['seconds']:g}s"
+
+
 def quartiles(values):
     if len(values) < 2:
         return list(values) * 3
@@ -76,8 +114,7 @@ def quartiles(values):
 def summarize(runs):
     groups = {}
     for row in runs:
-        key = f"{row['workload']}/trace{row['trace']}/{row['seconds']:g}s"
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(group_key(row), []).append(row)
     summary = {}
     for key, all_rows in sorted(groups.items()):
         rows = [row for row in all_rows if "metrics" in row]
@@ -100,7 +137,9 @@ def summarize(runs):
         summary[key] = {
             "pairs": len(pairs),
             "runs_without_result": len(all_rows) - len(rows),
-            "digests_equal": all(p["parent"]["digest_round0"] == p["change"]["digest_round0"] for p in pairs),
+            # test runs have no digest
+            "digests_equal": None if key.startswith("pytest/") else all(
+                p["parent"]["digest_round0"] == p["change"]["digest_round0"] for p in pairs),
             "all_correct": all(r["correct"] for r in rows),
             "metrics": metrics,
         }
@@ -111,12 +150,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
-    parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--workloads", nargs="+")
+    parser.add_argument("--seeds", nargs="+", type=int)
+    parser.add_argument("--tests", nargs="+", metavar="NODEID", help="run these pytest node ids instead of workloads")
+    parser.add_argument("--pairs", type=int, default=1, help="pairs of test runs (with --tests)")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if not args.tests and not (args.workloads and args.seeds):
+        parser.error("give --workloads and --seeds, or --tests")
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = json.loads(args.out.read_text()) if args.out.exists() else {"checkouts": {}, "runs": []}
@@ -127,7 +170,18 @@ def main(argv=None):
             parser.error(f"{args.out} holds runs of another {side} source ({known[:12]})")
     pair = max((row["pair"] for row in record["runs"]), default=-1) + 1
     failures = 0
-    for workload in args.workloads:
+    for _ in range(args.pairs if args.tests else 0):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            row = run_tests(roots[side], args.tests)
+            row.update({"pair": pair, "side": side, "position": position})
+            record["runs"].append(row)
+            failures += not row["correct"]
+            print(f"pair {pair} tests {side}: {row['summary_line']} wall_s={row['metrics']['wall_s']:.1f}", flush=True)
+        pair += 1
+        record["summary"] = summarize(record["runs"])
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for workload in [] if args.tests else args.workloads:
         for seed in args.seeds:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             digests = {}

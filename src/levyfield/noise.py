@@ -39,6 +39,10 @@ DEFAULT_COUNT_GUARD = 1e8
 # expected draws per farm chunk; chunk boundaries fix the random streams, so
 # this is a constant, not a setting
 MAX_CHUNK_DRAWS = 20_000_000
+# farm chunks draw and reduce in blocks of whole replicates of at most this
+# many draws; draws, arithmetic and sums are elementwise or per replicate, so
+# the block size never changes a byte, only the memory a chunk touches
+BLOCK_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,14 +162,13 @@ def _compensation(measure: LevyMeasure, cutoff, level=None) -> float:
     return compensator_band(measure, cutoff, math.inf if level is None else level).value
 
 
-def _draw_magnitudes(alpha, cutoff, rng, n):
-    # inverse cdf of the modulus above the cutoff: cutoff * V**(-1/alpha), V in (0,1]
-    v = 1.0 - rng.random(n)
-    return cutoff * v ** (-1.0 / alpha)
-
-
-def _draw_signs(p, rng, n):
-    return np.where(rng.random(n) < p, 1.0, -1.0)
+def _draw_magnitudes(alpha, cutoff, rng, out):
+    # inverse cdf of the modulus above the cutoff, in place: cutoff * V**(-1/alpha), V in (0,1]
+    rng.random(out.shape[0], out=out)
+    np.subtract(1.0, out, out=out)
+    out **= -1.0 / alpha
+    out *= cutoff
+    return out
 
 
 def simulate_jumps(config: NoiseConfig, rng, seed_info="") -> JumpSet:
@@ -184,7 +187,8 @@ def simulate_jumps(config: NoiseConfig, rng, seed_info="") -> JumpSet:
     n = int(rng.poisson(lam))
     times = rng.uniform(0.0, config.horizon, n)
     locs = config.domain.sample(rng, n)
-    sizes = _draw_magnitudes(config.measure.alpha, config.cutoff, rng, n) * _draw_signs(config.measure.p, rng, n)
+    sizes = _draw_magnitudes(config.measure.alpha, config.cutoff, rng, np.empty(n))
+    np.negative(sizes, out=sizes, where=rng.random(n) >= config.measure.p)
     order = np.argsort(times, kind="stable")
     return JumpSet(times[order], locs[order], sizes[order], config.horizon, config.domain, config.cutoff, seed_info)
 
@@ -253,6 +257,8 @@ def _farm(n, lam, count_guard, chunk_fn, rng, workers=None, dtype=float):
     """
     if lam > count_guard:
         raise ValueError(f"expected jump count {lam:.3g} exceeds guard {count_guard:.3g}")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError("replicate count must be a nonnegative integer")
     n = int(n)
     per = max(1, int(MAX_CHUNK_DRAWS / max(lam, 1.0)))
     sizes = [min(per, n - start) for start in range(0, n, per)]
@@ -287,13 +293,35 @@ def _segment_sums(values, counts):
     return np.add.reduceat(values, offsets)
 
 
+def _magnitude_sums(alpha, cutoff, counts, rng, mark=None):
+    """Per-replicate magnitude sums of r >= 1 replicates of `counts` jumps, after `mark(block)` rewrites
+    each block in place; a chunk with an empty replicate is one block (one reduceat/bincount pick)."""
+    ends, cuts = np.cumsum(counts), [0]
+    while cuts[-1] < len(counts):
+        j = np.searchsorted(ends, ends[cuts[-1]] - counts[cuts[-1]] + BLOCK_DRAWS, side="right")
+        cuts.append(max(cuts[-1] + 1, int(j)) if counts.all() else len(counts))
+    sizes = np.diff(np.concatenate(([0], ends))[cuts])
+    buf = np.empty(sizes.max())
+    sums = []
+    for i, j, m in zip(cuts, cuts[1:], sizes):
+        block = _draw_magnitudes(alpha, cutoff, rng, buf[:m])
+        if mark is not None:
+            mark(block)
+        sums.append(_segment_sums(block, counts[i:j]))
+    return np.concatenate(sums)
+
+
 def _one_sided_sums(rate, alpha, cutoff, truncation, r, rng):
     counts = rng.poisson(rate, r) if rate > 0 else np.zeros(r, dtype=np.int64)
-    total = int(counts.sum())
-    mags = _draw_magnitudes(alpha, cutoff, rng, total)
-    if truncation is not None:
-        mags = np.where(mags <= truncation, mags, 0.0)
-    return _segment_sums(mags, counts)
+    clip = None if truncation is None else lambda block: np.putmask(block, block > truncation, 0.0)
+    return _magnitude_sums(alpha, cutoff, counts, rng, clip)
+
+
+def _box_rate(measure, volume, cutoff):
+    # expected jumps above the cutoff in a region of the given volume; NaN fails the check
+    if not 0 <= volume < math.inf:
+        raise ValueError("volume must be finite and nonnegative")
+    return volume * cutoff ** (-measure.alpha)
 
 
 def sample_noise_values(
@@ -314,7 +342,7 @@ def sample_noise_values(
     depend on the worker count.
     """
     a = measure.alpha
-    lam = volume * cutoff ** (-a)
+    lam = _box_rate(measure, volume, cutoff)
     comp = volume * _compensation(measure, cutoff, truncation)
 
     def run_chunk(r, crng):
@@ -332,14 +360,12 @@ def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):
     simulated above `cutoff` (< threshold required).
     """
     _check_level(threshold, cutoff)
-    a = measure.alpha
-    lam = volume * cutoff ** (-a)
+    lam = _box_rate(measure, volume, cutoff)
 
     def run_chunk(r, rng):
-        counts = rng.poisson(lam, r)
-        mags = _draw_magnitudes(a, cutoff, rng, int(counts.sum()))
-        idx = np.repeat(np.arange(r), counts)
-        return np.bincount(idx, weights=(mags > threshold).astype(float), minlength=r) > 0
+        # per-replicate counts of large jumps, exact in any grouping
+        above = _magnitude_sums(measure.alpha, cutoff, rng.poisson(lam, r), rng, lambda b: np.greater(b, threshold, out=b))
+        return above > 0
 
     return _farm(n, lam, DEFAULT_COUNT_GUARD, run_chunk, rng, dtype=bool)
 
@@ -347,9 +373,9 @@ def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):
 def sample_weighted_sums(config: NoiseConfig, weight, n, rng, truncation=None, weight_integral=None):
     """Draw `n` values of the jump sum weighted by a deterministic function.
 
-    weight(times, locations) must be vectorized; locations have shape (m, d).
-    For alpha > 1 a compensator `weight_integral` (the space-time integral of
-    the weight over the window) must be supplied.
+    weight(times, locations), locations of shape (m, d), must be vectorized and
+    elementwise: it is evaluated on slices of the jumps.  For alpha > 1 the
+    compensator `weight_integral`, the weight's integral over the window, is required.
     """
     a = config.measure.alpha
     lam = config.expected_jump_count
@@ -364,15 +390,16 @@ def sample_weighted_sums(config: NoiseConfig, weight, n, rng, truncation=None, w
         total = int(counts.sum())
         times = rng.uniform(0.0, config.horizon, total)
         locs = config.domain.sample(rng, total)
-        z = _draw_magnitudes(a, config.cutoff, rng, total)
+        w = np.empty(total)
+        for s in range(0, total, BLOCK_DRAWS):
+            w[s : s + BLOCK_DRAWS] = weight(times[s : s + BLOCK_DRAWS], locs[s : s + BLOCK_DRAWS])
+        del times, locs
+        z = _draw_magnitudes(a, config.cutoff, rng, np.empty(total))
+        np.negative(z, out=z, where=rng.random(total) >= config.measure.p)
         if truncation is not None:
-            keep = z <= truncation
-        z *= _draw_signs(config.measure.p, rng, total)
-        if truncation is not None:
-            z = np.where(keep, z, 0.0)
-        vals = np.asarray(weight(times, locs), dtype=float) * z
-        idx = np.repeat(np.arange(r), counts)
-        return np.bincount(idx, weights=vals, minlength=r)
+            z[np.abs(z) > truncation] = 0.0
+        w *= z
+        return np.bincount(np.repeat(np.arange(r), counts), weights=w, minlength=r)
 
     return _farm(n, lam, config.count_guard, run_chunk, rng) - comp
 

@@ -106,12 +106,15 @@ class TestReport:
 
 
 def ecf(samples, u_grid=DEFAULT_U_GRID):
-    """Empirical characteristic function on a grid, chunked for memory."""
+    """Empirical characteristic function on a grid, row by row in reused buffers per 200,000-sample chunk."""
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or samples.size == 0 or not np.isfinite(samples).all():
+        raise ValueError("ecf samples must be a nonempty 1-D array of finite values")
     out = np.zeros(len(u_grid), dtype=complex)
-    n_chunks = max(1, samples.shape[0] // 200_000)
-    for chunk in np.array_split(samples, n_chunks):
-        out += np.exp(1j * np.outer(u_grid, chunk)).sum(axis=1)
+    for chunk in np.array_split(samples, max(1, samples.shape[0] // 200_000)):
+        x, z = np.empty(chunk.shape), np.empty(chunk.shape, dtype=complex)
+        for k, u in enumerate(u_grid):
+            out[k] += np.exp(np.multiply(1j, np.multiply(u, chunk, out=x), out=z), out=z).sum()
     return out / samples.shape[0]
 
 

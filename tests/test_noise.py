@@ -321,6 +321,35 @@ class TestFarmGuard:
             sample_weighted_sums(config, lambda t, x: t, 10, rng, weight_integral=0.5)
 
 
+class TestFarmSizes:
+    MEASURE = LevyMeasure.from_beta(0.7, 0.3)
+
+    def farms(self, n, volume=1.0):
+        rng = np.random.default_rng(0)
+        config = NoiseConfig(self.MEASURE, 1.0, UNIT, cutoff=0.5)
+        return [
+            lambda: sample_noise_values(self.MEASURE, volume, 0.5, n, rng),
+            lambda: sample_large_jump_flags(self.MEASURE, volume, 0.5, 2.0, n, rng),
+            lambda: sample_weighted_sums(config, lambda t, x: t, n, rng),
+        ]
+
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf])
+    def test_bad_replicate_count_rejected(self, n):
+        for farm in self.farms(n):
+            with pytest.raises(ValueError, match="replicate count must be a nonnegative integer"):
+                farm()
+
+    def test_integral_float_count_accepted(self):
+        for farm in self.farms(1e5):
+            assert farm().shape == (100_000,)
+
+    @pytest.mark.parametrize("volume", [-1.0, math.nan, math.inf])
+    def test_bad_volume_rejected(self, volume):
+        for farm in self.farms(5, volume)[:2]:
+            with pytest.raises(ValueError, match="volume must be finite and nonnegative"):
+                farm()
+
+
 class TestFarmLevels:
     @pytest.mark.parametrize("level", [math.nan, 0.01, 0.005])
     @pytest.mark.parametrize("alpha", [0.5, 1.5])

@@ -5,7 +5,8 @@ number format) fails here, so a refactor that promises identical results has
 to keep them; a change that means to alter results updates the digests and
 says so.  The farms run twice: once at the fixed chunk budget, where these
 sizes fit in one chunk, and once with the budget cut so that each farm splits
-into several chunks.  The kernel, drift-operator, solver and quadrature cases
+into several chunks; the one-chunk farms run again with the block size cut,
+so that blocks of whole replicates split every dense chunk.  The kernel, drift-operator, solver and quadrature cases
 pin the layers the default CLI config never reaches: the Dirichlet kernel,
 the bounded-domain functionals, the subordinated fractional kernel, glue,
 the alpha > 1 drift and the truncated (compensated over (cutoff, K]) paths.
@@ -63,6 +64,7 @@ from levyfield.solver import (
     solve_linear,
 )
 from levyfield.stable import LevyMeasure
+from levyfield.verify import ecf
 
 UNIT = Box.interval(0.0, 1.0)
 
@@ -86,7 +88,12 @@ FARM_DIGESTS = {
     "noise_truncated.0.5": "3aaceaf1ee3a214db26cf6676d4f64eb63bd630b535d78baafa599bebbfbaf0a",
     "noise_truncated.1.5": "400a46a174d361ffe1bf5367ff5d9bacb6e9d40d923d9199f983682cea066dfc",
     "weighted_truncated_2d": "b697d7f19bc5d2d7f615b1beae5961c23ad92cd4e10549006afbd9708cb2b96e",
+    "noise_sparse": "ffb7d141762c020259d2850237c81490090fa3a795102e8c63c3b8d7b598c99a",
+    "flags_dense": "505ea7d32f2ba6246e5002cd4f921e24278a7a44ddbe91d16a0c7efd90d5cc75",
+    "noise_dense_truncated": "6b1deae33a513f8a5aeac3761178b6e6b8f73a370812fca283ef79ce29536327",
 }
+
+ECF_DIGEST = "ac4a16c5276ef7ac9a43e5d55aa9e4c4a6440a47273ae9812d9845beed2a36ba"
 
 PATH_DIGEST = "0de4bc8e4abc54cba5dcf3159b092a564dc0f29f72cf12b933d8f4b21c37d1ac"
 
@@ -191,6 +198,44 @@ class TestFarms:
 
         values = sample_weighted_sums(window, weight, 2000, rng, truncation=1.0, weight_integral=0.75)
         assert sha256(values.tobytes() + floats(rng.random())) == FARM_DIGESTS["weighted_truncated_2d"]
+
+    def test_sparse_noise_values(self):
+        # about 1.6 jumps per replicate: many replicates draw none
+        rng = np.random.default_rng(16)
+        values = sample_noise_values(LevyMeasure.from_beta(0.7, 0.3), 1.0, 0.5, 3000, rng, truncation=2.0)
+        assert sha256(values.tobytes() + floats(rng.random())) == FARM_DIGESTS["noise_sparse"]
+
+    def test_dense_large_jump_flags(self):
+        # about 25 jumps per replicate, none without a jump
+        rng = np.random.default_rng(17)
+        flags = sample_large_jump_flags(LevyMeasure.from_beta(0.7, 0.0), 5.0, 0.1, 2.0, 3000, rng)
+        assert sha256(flags.tobytes() + floats(rng.random())) == FARM_DIGESTS["flags_dense"]
+
+
+class TestBlockedFarms(TestFarms):
+    """The farms above reduced in blocks of at most 700 draws.
+
+    Blocks split every chunk of the dense farms, and replicates of the
+    alpha = 1.5, cutoff 0.01 farm (about 750 positive jumps) exceed a block.
+    The digests are those of the default block size.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(noise, "BLOCK_DRAWS", 700)
+
+
+def test_dense_truncated_noise_values_two_workers():
+    # 2.2e7 draws in two chunks, each reduced in blocks of the default size
+    rng = np.random.default_rng(18)
+    values = sample_noise_values(LevyMeasure.from_beta(1.5, 0.5), 1.0, 1e-3, 700, rng, truncation=1.0, workers=2)
+    assert sha256(values.tobytes() + floats(rng.random())) == FARM_DIGESTS["noise_dense_truncated"]
+
+
+def test_ecf_two_chunks():
+    # 4e5 samples: two 200,000-sample chunks
+    samples = np.random.default_rng(19).standard_cauchy(400_000)
+    assert sha256(ecf(samples).tobytes()) == ECF_DIGEST
 
 
 class TestChunkedFarms:

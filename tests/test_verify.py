@@ -9,6 +9,7 @@ from levyfield.stable import StableParams, sample_stable
 from levyfield.verify import (
     SUITES,
     box_law,
+    ecf,
     ecf_suite,
     ecf_test,
     local_property_suite,
@@ -47,6 +48,20 @@ class TestEcfTest:
     def test_degenerate_samples_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             ecf_test(np.ones(20_000), StableParams(1.2))
+
+    def test_nonfinite_samples_rejected(self):
+        draws = sample_stable(StableParams(1.2), np.random.default_rng(73), 20_000)
+        draws[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ecf_test(draws, StableParams(1.2))
+
+
+@pytest.mark.parametrize(
+    "samples", [np.zeros(0), np.ones((3, 2)), np.array([1.0, np.nan]), np.array([np.inf, 1.0])], ids=["empty", "2d", "nan", "inf"]
+)
+def test_ecf_rejects_bad_samples(samples):
+    with pytest.raises(ValueError, match="nonempty 1-D array of finite values"):
+        ecf(samples)
 
 
 class TestSuitePasses:
