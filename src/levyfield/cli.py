@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config
 from .kernels import eval_kernel, i_alpha, j_p
 from .noise import _check_exponent, noise_of_box, save_jumps_csv, simulate_jumps, write_csv
 from .solver import PicardDivergenceError, picard_solve, picard_solve_drifted, solve_linear
-from .verify import MIN_CF_SAMPLES, NEGATIVE_CONTROLS, SUITES, run_suite
+from .verify import MIN_CF_SAMPLES, SUITES, run_suite
 
 USAGE_ERROR = 2
 SUITE_FAILURE = 1
@@ -158,13 +158,12 @@ def cmd_verify(cfg: RunConfig, suite_name: str) -> int:
     out = _prepare_out(cfg)
     all_passed = True
     for name in names:
-        kwargs = {"alpha": cfg.noise.alpha, "beta": cfg.noise.beta, "seed": cfg.run.seed}
+        kwargs = {"alpha": cfg.noise.alpha, "beta": cfg.noise.beta, "seed": cfg.run.seed,
+                  "negative_control": cfg.verify.negative_control}
         if name in ("ecf", "tail", "moment") and cfg.run.threads > 1:
             kwargs["workers"] = cfg.run.threads
         if cfg.verify.replicates > 0:
             kwargs["replicates"] = cfg.verify.replicates
-        if cfg.verify.negative_control:
-            kwargs.update(NEGATIVE_CONTROLS[name])
         if name == "moment":
             kwargs["p"] = cfg.solver.p
         report = run_suite(name, **kwargs)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .boxes import Box
 from .kernels import KernelKind, KernelSpec
-from .noise import DEFAULT_COUNT_GUARD, NoiseConfig
+from .noise import NoiseConfig
 from .stable import LevyMeasure
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -41,7 +41,6 @@ class NoiseSection:
     horizon: float = 1.0
     domain: str = "0,1"
     cutoff: float = 1e-3
-    count_guard: float = DEFAULT_COUNT_GUARD
 
 
 @dataclass
@@ -134,7 +133,6 @@ class RunConfig:
                 horizon=self.noise.horizon,
                 domain=self.domain_box(),
                 cutoff=self.noise.cutoff,
-                count_guard=self.noise.count_guard,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -7,8 +7,8 @@ integral of G**alpha up to time t (infinite exactly when the exponent
 condition for the kind fails); `j_p` is the spatial Lp mass sup over source
 points.
 
-The fractional entry points (`eval_kernel`, `subordinated_eval`,
-`subordinator_density`, and `i_alpha`/`j_p`) memoize, for one call only,
+The fractional kernel's values come from `eval_kernel` on its spec; that,
+`subordinator_density` and `i_alpha`/`j_p` memoize, for one call only,
 the subordinator density at each exact s of its integral branch
 (0 < s < 10, gamma != 1/2) and that integral's angular factor at each theta.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "KernelKind",
     "KernelSpec",
     "eval_kernel",
-    "subordinated_eval",
     "subordinator_density",
     "i_alpha",
     "j_p",
@@ -224,21 +223,6 @@ def _density(gamma, s, memo):
     return values[s]
 
 
-def subordinated_eval(gamma, t, x, y, dim=1):
-    """Fractional-heat kernel value via subordination of the heat flow.
-
-    Integrates the heat kernel (variance 2s) at rescaled times t**(1/gamma)*s
-    against the unit-time subordinator density of order gamma.  gamma must
-    lie in (0, 1); gamma = 1 is the plain heat flow and is dispatched by
-    `eval_kernel` directly.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1) for subordination")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _subordinated_from_sq(gamma, float(t), float(_sqdist(x, y, dim)), dim, ({}, {}))
-
-
 def eval_kernel(spec: KernelSpec, t, x, y):
     """Kernel value G(t, x, y); vectorized over broadcastable t, x, y.
 
@@ -281,6 +265,7 @@ def _eval_kernel_per_t(spec: KernelSpec, ts, x, y):
 
 
 def _subordinated_from_sq(gamma, t, sq, dim, memo):
+    # subordination: the heat kernel (variance 2s) at times t**(1/gamma) * s against the order-gamma density
     t_resc = t ** (1.0 / gamma)
 
     def integrand(s):
@@ -363,16 +348,16 @@ def _fractional_spatial_lp(spec, t, p):
     return 2.0 * (inner + outer)
 
 
-def _bounded_domain_i_alpha(spec, t, alpha, n_x=64, n_y=48, n_s=12):
-    # sup over source points of the space-time quadrature; graded panels
+def _bounded_domain_i_alpha(spec, t, alpha):
+    # sup over 64 source points of the space-time quadrature; 12 graded panels
     # toward s = 0 absorb the kernel blowup
     dom = spec.domain
     lo, hi = dom.lows[0], dom.highs[0]
-    xs = np.linspace(lo + 1e-6, hi - 1e-6, n_x)
-    edges = t * (0.5 ** np.arange(n_s, -1, -1))
+    xs = np.linspace(lo + 1e-6, hi - 1e-6, 64)
+    edges = t * (0.5 ** np.arange(12, -1, -1))
     edges[0] = 0.0
-    y_nodes, y_w = _gl_on(lo, hi, n_y)
-    acc = np.zeros(n_x)
+    y_nodes, y_w = _gl_on(lo, hi, 48)
+    acc = np.zeros(64)
     for a, b in zip(edges[:-1], edges[1:]):
         for s, w in zip(*_gl_on(a, b, 16)):
             vals = eval_kernel(spec, s, xs[:, None], y_nodes) ** alpha
@@ -417,11 +402,11 @@ def i_alpha(spec: KernelSpec, t, alpha):
     raise ValueError(f"unknown kernel kind {kind}")
 
 
-def _bounded_domain_j_p(spec, t, p, n_x=64, n_y=64):
+def _bounded_domain_j_p(spec, t, p):
     dom = spec.domain
     lo, hi = dom.lows[0], dom.highs[0]
-    xs = np.linspace(lo + 1e-6, hi - 1e-6, n_x)
-    y_nodes, y_w = _gl_on(lo, hi, n_y)
+    xs = np.linspace(lo + 1e-6, hi - 1e-6, 64)
+    y_nodes, y_w = _gl_on(lo, hi, 64)
     vals = eval_kernel(spec, t, xs[:, None], y_nodes) ** p
     return float((vals * y_w).sum(axis=1).max())
 
@@ -465,15 +450,16 @@ def j_p(spec: KernelSpec, t, p):
 # ---------------------------------------------------------------------------
 
 
-def _modulus(spec, horizon, p, x, shifted_eval, n_t=96, n_y=64):
+def _modulus(spec, horizon, p, x, shifted_eval):
+    # 10 graded time panels of 9 Gauss nodes, 64 nodes in space
     dom = spec.domain or Box.interval(0.0, 1.0)
     lo, hi = dom.lows[0], dom.highs[0]
     edges = horizon * (0.5 ** np.arange(10, -1, -1))
     edges[0] = 0.0
-    y_nodes, y_w = _gl_on(lo, hi, n_y)
+    y_nodes, y_w = _gl_on(lo, hi, 64)
     acc = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        t_nodes, t_w = _gl_on(a, b, max(4, n_t // 10))
+        t_nodes, t_w = _gl_on(a, b, 9)
         for t, w in zip(t_nodes, t_w):
             base = eval_kernel(spec, t, x, y_nodes)
             diff = np.abs(base - shifted_eval(t, y_nodes)) ** p

@@ -35,7 +35,8 @@ __all__ = [
     "load_jumps_csv",
 ]
 
-DEFAULT_COUNT_GUARD = 1e8
+# largest expected jump count of one window or one farm replicate
+COUNT_GUARD = 1e8
 # expected draws per farm chunk; chunk boundaries fix the random streams, so
 # this is a constant, not a setting
 MAX_CHUNK_DRAWS = 20_000_000
@@ -49,15 +50,14 @@ BLOCK_DRAWS = 1 << 20
 class NoiseConfig:
     """Window and cutoff for one simulated jump field.
 
-    The expected jump count is horizon * |domain| * cutoff**(-alpha); requests
-    above `count_guard` are rejected before any allocation happens.
+    The expected jump count is horizon * |domain| * cutoff**(-alpha); a window
+    expecting more than COUNT_GUARD jumps is rejected before any allocation.
     """
 
     measure: LevyMeasure
     horizon: float
     domain: Box
     cutoff: float = 1e-3
-    count_guard: float = DEFAULT_COUNT_GUARD
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -68,6 +68,7 @@ class NoiseConfig:
             raise ValueError("cutoff must be positive")
         if not math.isfinite(self.expected_jump_count):
             raise ValueError("expected jump count must be finite")
+        _check_guard(self.expected_jump_count)
 
     @property
     def expected_jump_count(self):
@@ -137,6 +138,11 @@ def compensator_band(measure: LevyMeasure, lower, upper) -> CompensatorBand:
     return CompensatorBand(lower, upper, value)
 
 
+def _check_guard(lam):
+    if lam > COUNT_GUARD:
+        raise ValueError(f"expected jump count {lam:.3g} exceeds guard {COUNT_GUARD:.3g}")
+
+
 def _check_level(level, cutoff):
     # None is no truncation; NaN fails the comparison
     if level is not None and not level > cutoff:
@@ -178,13 +184,10 @@ def simulate_jumps(config: NoiseConfig, rng, seed_info="") -> JumpSet:
     the horizon, locations uniform on the domain, moduli inverse-cdf above the
     cutoff, signs positive with probability p.
     """
-    lam = config.expected_jump_count
-    if lam > config.count_guard:
-        raise ValueError(f"expected jump count {lam:.3g} exceeds guard {config.count_guard:.3g}")
     d = config.domain.dim
     if config.horizon == 0:
         return JumpSet(np.empty(0), np.empty((0, d)), np.empty(0), config.horizon, config.domain, config.cutoff, seed_info)
-    n = int(rng.poisson(lam))
+    n = int(rng.poisson(config.expected_jump_count))
     times = rng.uniform(0.0, config.horizon, n)
     locs = config.domain.sample(rng, n)
     sizes = _draw_magnitudes(config.measure.alpha, config.cutoff, rng, np.empty(n))
@@ -246,7 +249,7 @@ def first_large_jump_time(jumps: JumpSet, space: Box, level) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _farm(n, lam, count_guard, chunk_fn, rng, workers=None, dtype=float):
+def _farm(n, lam, chunk_fn, rng, workers=None, dtype=float):
     """Assemble `n` replicates from chunks of at most MAX_CHUNK_DRAWS expected draws.
 
     `chunk_fn(r, stream)` returns the values of `r` replicates.  With
@@ -255,8 +258,7 @@ def _farm(n, lam, count_guard, chunk_fn, rng, workers=None, dtype=float):
     `rng` and up to `workers` threads share the chunks, so results do not
     depend on the worker count.
     """
-    if lam > count_guard:
-        raise ValueError(f"expected jump count {lam:.3g} exceeds guard {count_guard:.3g}")
+    _check_guard(lam)
     if not (n >= 0 and float(n).is_integer()):
         raise ValueError("replicate count must be a nonnegative integer")
     n = int(n)
@@ -350,7 +352,7 @@ def sample_noise_values(
         neg = _one_sided_sums(lam * measure.q, a, cutoff, truncation, r, crng)
         return pos - neg
 
-    return _farm(n, lam, DEFAULT_COUNT_GUARD, run_chunk, rng, workers=workers) - comp
+    return _farm(n, lam, run_chunk, rng, workers=workers) - comp
 
 
 def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):
@@ -367,7 +369,7 @@ def sample_large_jump_flags(measure, volume, cutoff, threshold, n, rng):
         above = _magnitude_sums(measure.alpha, cutoff, rng.poisson(lam, r), rng, lambda b: np.greater(b, threshold, out=b))
         return above > 0
 
-    return _farm(n, lam, DEFAULT_COUNT_GUARD, run_chunk, rng, dtype=bool)
+    return _farm(n, lam, run_chunk, rng, dtype=bool)
 
 
 def sample_weighted_sums(config: NoiseConfig, weight, n, rng, truncation=None, weight_integral=None):
@@ -401,7 +403,7 @@ def sample_weighted_sums(config: NoiseConfig, weight, n, rng, truncation=None, w
         w *= z
         return np.bincount(np.repeat(np.arange(r), counts), weights=w, minlength=r)
 
-    return _farm(n, lam, config.count_guard, run_chunk, rng) - comp
+    return _farm(n, lam, run_chunk, rng) - comp
 
 
 # ---------------------------------------------------------------------------

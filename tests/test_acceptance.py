@@ -286,15 +286,15 @@ def test_criterion_10_local_property():
 def test_criterion_11_negative_controls():
     """Every statistical suite fails under its built-in perturbation."""
     controls = {
-        "ecf": dict(alpha_perturbation=0.3, replicates=20_000),
-        "tail": dict(alpha_perturbation=0.3, replicates=50_000),
-        "moment": dict(slope_offset=0.3, replicates=50_000),
-        "survival": dict(alpha_perturbation=0.3, replicates=10_000),
-        "local": dict(corrupt=True),
+        "ecf": dict(replicates=20_000),
+        "tail": dict(replicates=50_000),
+        "moment": dict(replicates=50_000),
+        "survival": dict(replicates=10_000),
+        "local": {},
     }
     failed_as_required = {}
     for name, kwargs in controls.items():
-        report = run_suite(name, seed=1011, **kwargs)
+        report = run_suite(name, seed=1011, negative_control=True, **kwargs)
         failed_as_required[name] = not report.passed
     ok = all(failed_as_required.values())
     _report(11, "negative controls", ok, ", ".join(f"{k}:{'fails' if v else 'PASSES'}" for k, v in failed_as_required.items()))

@@ -58,6 +58,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("[noise]\ncutoff = -1\n")
 
+    def test_window_expecting_too_many_jumps_rejected(self):
+        # (1e-7) ** -1.5 = 3.16e10 expected jumps in the unit window, over the 1e8 guard
+        with pytest.raises(ConfigError, match="guard"):
+            parse_config("[noise]\nalpha = 1.5\ncutoff = 1e-7\n")
+
     def test_two_dimensional_domain(self):
         cfg = parse_config("[noise]\ndomain = 0,1;0,2\nalpha = 0.5\ncutoff = 0.1\n")
         box = cfg.domain_box()
@@ -223,9 +228,12 @@ class TestCommands:
             ("", ["verify", "florb"]),
             ("[noise]\nalpha = 1.5\n", ["verify", "moment"]),
             ("[verify]\nreplicates = 5000\n", ["verify", "ecf"]),
+            ("[noise]\nalpha = 1.5\ncutoff = 1e-7\n", ["noise"]),
+            ("[noise]\nalpha = 1.5\ncutoff = 1e-7\n[solver]\np = 1.9\n", ["linear"]),
         ],
         ids=["solve-nan", "linear-nan", "solve-max-iterations", "solve-sigma", "noise-domain", "noise-horizon",
-             "noise-replicates", "kernels-kind", "verify-suite", "verify-moment-exponent", "verify-ecf-replicates"],
+             "noise-replicates", "kernels-kind", "verify-suite", "verify-moment-exponent", "verify-ecf-replicates",
+             "noise-count-guard", "linear-count-guard"],
     )
     def test_usage_error_writes_nothing(self, tmp_path, capsys, config_text, argv):
         cfg_file = tmp_path / "run.cfg"

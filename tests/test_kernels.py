@@ -16,7 +16,6 @@ from levyfield.kernels import (
     i_alpha_finite,
     j_p,
     space_shift_modulus,
-    subordinated_eval,
     subordinator_density,
     time_shift_modulus,
 )
@@ -158,7 +157,7 @@ class TestSubordination:
         for t in (0.5, 1.0, 2.0):
             xs = np.linspace(0.0, 5.0, 11)
             worst = max(
-                abs(subordinated_eval(0.5, t, x, 0.0) - fourier_fractional_kernel(0.5, t, x))
+                abs(eval_kernel(FRAC_HALF, t, x, 0.0) - fourier_fractional_kernel(0.5, t, x))
                 for x in xs
             )
             assert worst < 1e-5
@@ -176,8 +175,6 @@ class TestSubordination:
             assert below == pytest.approx(above, rel=1e-7)
 
     def test_gamma_range(self):
-        with pytest.raises(ValueError):
-            subordinated_eval(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             subordinator_density(0.0, 1.0)
 
@@ -218,8 +215,9 @@ class TestDensityMemo:
     def test_array_equals_reversed_scalar_calls(self):
         rng = np.random.default_rng(36)
         t, x, y = rng.uniform(0.25, 2.0, 4), rng.uniform(-2.0, 2.0, 4), rng.uniform(-0.5, 0.5, 4)
-        batch = eval_kernel(KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.7), t, x, y)
-        scalar = [subordinated_eval(0.7, t[i], x[i], y[i]) for i in range(3, -1, -1)][::-1]
+        spec = KernelSpec(KernelKind.FRACTIONAL_HEAT, gamma=0.7)
+        batch = eval_kernel(spec, t, x, y)
+        scalar = [eval_kernel(spec, t[i], x[i], y[i]) for i in range(3, -1, -1)][::-1]
         assert batch.tobytes() == np.array(scalar).tobytes()
 
 

@@ -64,12 +64,9 @@ class TestSimulate:
         jumps = simulate_jumps(config, np.random.default_rng(3))
         assert jumps.n == 0
 
-    def test_count_guard(self):
-        config = NoiseConfig(
-            LevyMeasure.from_beta(1.5, 0.0), 1.0, UNIT, cutoff=1e-7, count_guard=1e6
-        )
+    def test_guard_rejects_large_window(self):
         with pytest.raises(ValueError, match="guard"):
-            simulate_jumps(config, np.random.default_rng(4))
+            NoiseConfig(LevyMeasure.from_beta(1.5, 0.0), 1.0, UNIT, cutoff=1e-7)
 
     def test_invariants(self):
         config = unit_config(alpha=0.8, cutoff=0.01)
@@ -316,9 +313,9 @@ class TestFarmGuard:
             sample_noise_values(measure, 1.0, 1e-6, 10, rng)
         with pytest.raises(ValueError, match="guard"):
             sample_large_jump_flags(measure, 1.0, 1e-6, 1.0, 10, rng)
-        config = NoiseConfig(measure, 1.0, UNIT, cutoff=1e-6)
+        # the weighted-sum farm's window is rejected when it is built
         with pytest.raises(ValueError, match="guard"):
-            sample_weighted_sums(config, lambda t, x: t, 10, rng, weight_integral=0.5)
+            NoiseConfig(measure, 1.0, UNIT, cutoff=1e-6)
 
 
 class TestFarmSizes:

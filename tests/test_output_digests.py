@@ -40,7 +40,6 @@ from levyfield.kernels import (
     i_alpha,
     j_p,
     space_shift_modulus,
-    subordinated_eval,
     subordinator_density,
     time_shift_modulus,
 )
@@ -137,19 +136,35 @@ SUITE_CASES = {
     "survival.1.5": ("survival", VERIFY_REPLICATES + ALPHA15, [], 0),
     "local.1.5": ("local", ALPHA15, [], 0),
     "ecf.0.5.control": ("ecf", VERIFY_REPLICATES, ["--negative-control"], 1),
+    "tail.0.5.control": ("tail", VERIFY_REPLICATES, ["--negative-control"], 1),
+    "moment.0.5.control": ("moment", VERIFY_REPLICATES, ["--negative-control"], 1),
+    "survival.0.5.control": ("survival", VERIFY_REPLICATES, ["--negative-control"], 1),
+    "local.0.5.control": ("local", "", ["--negative-control"], 1),
+    "tail.1.5.control": ("tail", VERIFY_REPLICATES + ALPHA15, ["--negative-control"], 1),
+    "moment.1.5.control": ("moment", VERIFY_REPLICATES + ALPHA15, ["--negative-control"], 1),
+    "survival.1.5.control": ("survival", VERIFY_REPLICATES + ALPHA15, ["--negative-control"], 1),
+    "local.1.5.control": ("local", ALPHA15, ["--negative-control"], 1),
 }
 
 SUITE_DIGESTS = {
     "ecf.0.5": "b0dfe1538c691f56c82639d8026c28fdba96f5f7de9420610441d1e2595a843a",
     "ecf.0.5.control": "79b6f439e3807215a37dd92943b8db224dbf3ea7039c6ca44d280e90ee51525f",
     "local.0.5": "08064dd913763819cb3e4ba865975a440cba24f49d0eb2c4c6b4bf446bcacce4",
+    "local.0.5.control": "c17502e0b9b6015d2b586d61a9fe160e99b17371456edbb5cf37f4d98e4862c7",
     "local.1.5": "fe8b6c72ae17712a103370ebea7297ec84086054c7864b58a0f3d9916025b9ec",
+    "local.1.5.control": "8704bdeaec993d05fa4236e11b6dd9db4d25a6c4d3436bc4fc0490c3feed59a6",
     "moment.0.5": "4c9a869745a779c39c199f9e9713fea321cdf9fd10e3ce4d934a674fd22d3167",
+    "moment.0.5.control": "2cde1df6cb8fac9a9bf18d9cd45d792beac1039b1b23f13bf6f274b0fdb4a0fc",
     "moment.1.5": "7f1fbae47c23be29f490c428d2bdedc88fb9ae08579b01f402e880d7e916348c",
+    "moment.1.5.control": "b53642aafaa8aca4e6aec4340ce7a3d74d7386c9b166fcb18aa4c77800d2a76b",
     "survival.0.5": "2761d6ab65c64d4039d39ff14234f86a3812801292f60128acd39b84ba01159f",
+    "survival.0.5.control": "1c38ffcd9763759124767f784d881ad9c653304eaba4f713e90c6751cabd2dcc",
     "survival.1.5": "97e941f9878e66b9f2e3177920cfc4f35f274abd6353a520dfdc157572a34752",
+    "survival.1.5.control": "a733038cb1571b0f582e3d6ad2c3cfe357204120445f5c4bf7f1eb7b2dab5765",
     "tail.0.5": "bfdb105323b081fc44a525cd4f1e08bf8b87f6c84be342435c463c47fa309d62",
+    "tail.0.5.control": "2cd0004a6d2262199a8096c4d1e4c5be115878de5fffe5ad79e0012a38a2a01f",
     "tail.1.5": "f39c342d26b31f44cd47c8bcd839e08c6093ef3f83e613e69858d158ea830958",
+    "tail.1.5.control": "2677b4ee114218cd7dae45c572506ad48e1be17b6d73d785578d09ad97c1a976",
 }
 
 
@@ -391,8 +406,8 @@ def test_subordinator_density(gamma):
     assert sha256(floats(*values)) == LAYER_DIGESTS[f"density.{gamma}"]
 
 
-def test_subordinated_eval():
-    assert sha256(floats(subordinated_eval(0.7, 0.5, 0.3, 0.1))) == LAYER_DIGESTS["subordinated"]
+def test_fractional_kernel_value():
+    assert sha256(floats(eval_kernel(fractional(0.7), 0.5, 0.3, 0.1))) == LAYER_DIGESTS["subordinated"]
 
 
 @pytest.mark.parametrize("gamma, n", [(0.7, 4), (0.5, 16)])

@@ -102,14 +102,14 @@ class TestSuitePasses:
 class TestNegativeControls:
     def test_every_suite_fails_under_its_perturbation(self):
         controls = {
-            "ecf": dict(alpha_perturbation=0.3, **FAST),
-            "tail": dict(alpha_perturbation=0.3, replicates=50_000),
-            "moment": dict(slope_offset=0.3, replicates=50_000),
-            "survival": dict(alpha_perturbation=0.3, replicates=10_000),
-            "local": dict(corrupt=True),
+            "ecf": FAST,
+            "tail": dict(replicates=50_000),
+            "moment": dict(replicates=50_000),
+            "survival": dict(replicates=10_000),
+            "local": {},
         }
         for name, kwargs in controls.items():
-            report = run_suite(name, seed=11, **kwargs)
+            report = run_suite(name, seed=11, negative_control=True, **kwargs)
             assert not report.passed, f"suite {name} must fail under its control"
 
 
